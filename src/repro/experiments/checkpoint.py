@@ -33,7 +33,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner ← checkpoint)
     from .runner import RunSpec
@@ -205,6 +205,33 @@ def spec_fingerprint(spec: "RunSpec") -> Optional[str]:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _decode_record(
+    line: bytes, wanted: Optional[Set[str]] = None
+) -> Optional[Tuple[str, bytes]]:
+    """``(fingerprint, pickled payload)`` of one intact journal line, else
+    ``None`` — the acceptance rules load, GC and scrub share.  A record
+    outside *wanted* is dropped before its blob is decoded."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None  # torn write (the crash-consistency contract)
+    if not isinstance(record, dict) or record.get("v") != JOURNAL_VERSION:
+        return None
+    fp = record.get("fp")
+    blob = record.get("blob")
+    if not isinstance(fp, str) or not isinstance(blob, str):
+        return None
+    if wanted is not None and fp not in wanted:
+        return None
+    try:
+        payload = base64.b64decode(blob.encode("ascii"), validate=True)
+    except (ValueError, UnicodeEncodeError):
+        return None
+    if hashlib.sha256(payload).hexdigest() != record.get("sha"):
+        return None  # corrupt → miss, never a wrong hit
+    return fp, payload
+
+
 class CheckpointJournal:
     """Append-only journal of completed campaign cells.
 
@@ -225,44 +252,39 @@ class CheckpointJournal:
         self._handle = None
 
     # -- read ----------------------------------------------------------------
-    def load(self) -> Dict[str, Any]:
+    def load(self, wanted: Optional[Iterable[str]] = None) -> Dict[str, Any]:
         """Map of fingerprint → result for every intact journal record.
 
         Later records win (a cell journaled twice — e.g. by overlapping
         campaigns — is content-addressed, so the payloads are identical
         anyway).  Corrupt records are skipped, never trusted.
+
+        *wanted* restricts the load to those fingerprints; the answer
+        equals the full load filtered to *wanted*, at a campaign's cost.
         """
         results: Dict[str, Any] = {}
+        needed = None if wanted is None else set(wanted)
+        if needed is not None and not needed:
+            return results
         try:
             raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return results
         except OSError:
             return results
-        for line in raw.splitlines():
-            if not line.strip():
+        # Newest first: the first intact record of a fingerprint is the
+        # one that wins, and a restricted load stops once it has them all.
+        for line in reversed(raw.splitlines()):
+            decoded = _decode_record(line, needed)
+            if decoded is None or decoded[0] in results:
                 continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue  # torn write (the crash-consistency contract)
-            if not isinstance(record, dict) or record.get("v") != JOURNAL_VERSION:
-                continue
-            fp = record.get("fp")
-            blob = record.get("blob")
-            checksum = record.get("sha")
-            if not isinstance(fp, str) or not isinstance(blob, str):
-                continue
-            try:
-                payload = base64.b64decode(blob.encode("ascii"), validate=True)
-            except (ValueError, UnicodeEncodeError):
-                continue
-            if hashlib.sha256(payload).hexdigest() != checksum:
-                continue  # corrupt → miss, never a wrong hit
+            fp, payload = decoded
             try:
                 results[fp] = pickle.loads(payload)
             except Exception:  # noqa: BLE001 - any unpickling failure = miss
                 continue
+            if needed is not None:
+                needed.discard(fp)
+                if not needed:
+                    break
         return results
 
     def __len__(self) -> int:
@@ -358,30 +380,6 @@ class JournalGcReport:
         return "\n".join(lines)
 
 
-def _intact_record_key(line: bytes) -> Optional[str]:
-    """The fingerprint of one journal line, or ``None`` if the line is
-    torn/corrupt/alien — the same acceptance rules as
-    :meth:`CheckpointJournal.load`, minus the (expensive, irrelevant
-    for compaction) unpickling of the blob."""
-    try:
-        record = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict) or record.get("v") != JOURNAL_VERSION:
-        return None
-    fp = record.get("fp")
-    blob = record.get("blob")
-    if not isinstance(fp, str) or not isinstance(blob, str):
-        return None
-    try:
-        payload = base64.b64decode(blob.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return None
-    if hashlib.sha256(payload).hexdigest() != record.get("sha"):
-        return None
-    return fp
-
-
 def gc_journal(
     directory: Union[str, Path], dry_run: bool = False
 ) -> JournalGcReport:
@@ -422,10 +420,11 @@ def gc_journal(
         if not line.strip():
             continue
         lines_total += 1
-        fp = _intact_record_key(line)
-        if fp is None:
+        decoded = _decode_record(line)
+        if decoded is None:
             corrupt += 1
             continue
+        fp = decoded[0]
         if fp in survivors:
             superseded += 1
             del survivors[fp]
@@ -537,7 +536,7 @@ def scrub_journal(
             continue
         records += 1
         sink.count("cache.scrub_journal_records")
-        if _intact_record_key(line) is None:
+        if _decode_record(line) is None:
             corrupt += 1
             sink.count("cache.scrub_journal_corrupt")
             continue

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import threading
 import traceback as traceback_module
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, ExecutionError, error_kind
@@ -317,6 +318,83 @@ class _PoolUnavailable(Exception):
     """Internal: process pooling does not work here; run serially."""
 
 
+#: How often a pool worker checks that its supervisor process still lives.
+_PARENT_POLL_S = 0.5
+
+#: The one idle multi-worker pool kept warm between campaigns, as
+#: ``(width, pool)``.  Taking it empties the slot, so two concurrent
+#: campaigns never share a pool (worker-death blame stays per campaign).
+_idle_pool: Optional[Tuple[int, ProcessPoolExecutor]] = None
+_idle_lock = threading.Lock()
+
+
+def _watch_parent() -> None:
+    """Pool worker initializer: exit once the supervisor process is gone.
+
+    A SIGKILLed supervisor never shuts its pool down, and its idle
+    workers, re-parented, would block on the call queue forever.  A
+    daemon thread polls ``os.getppid()``; ``PR_SET_PDEATHSIG`` would
+    fire when the *thread* that forked the worker exits instead, and a
+    warm pool outlives the request thread that created it.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _pool_alive(pool: ProcessPoolExecutor) -> bool:
+    """True unless a worker of idle *pool* has died since it was parked.
+
+    A worker killed while parked (OOM killer, an operator) would break
+    the next campaign's first wave and be charged to its cells; checking
+    the workers themselves, not only the executor's ``_broken`` flag,
+    also catches a death its manager thread has not noticed yet.  The
+    flag is read last: the manager sets it before it reaps the dead
+    worker, which ``is_alive`` would then miss.
+    """
+    alive = all(process.is_alive() for process in list(pool._processes.values()))
+    return alive and not pool._broken
+
+
+def _take_pool(width: int) -> Tuple[int, ProcessPoolExecutor]:
+    """``(pool width, pool)`` with at least *width* workers: the idle warm
+    pool if it is wide enough and intact, else a new one.
+
+    The caller still keeps at most *width* groups in flight, so a wider
+    pool never widens the set of worker-death suspects.  Quarantine
+    (*width* 1) always gets a fresh pool.  New workers start lazily on
+    the first submit, so this costs nothing until the campaign
+    dispatches.
+    """
+    global _idle_pool
+    stale = None
+    with _idle_lock:
+        if width > 1 and _idle_pool is not None and _idle_pool[0] >= width:
+            stale, _idle_pool = _idle_pool, None
+    if stale is not None:
+        if _pool_alive(stale[1]):
+            return stale
+        stale[1].shutdown(wait=True, cancel_futures=True)
+    return width, ProcessPoolExecutor(max_workers=width, initializer=_watch_parent)
+
+
+def _park_pool(width: int, pool: ProcessPoolExecutor) -> None:
+    """Keep clean *pool* warm for the next campaign.
+
+    The slot holds one pool; whatever it held before is shut down.
+    """
+    global _idle_pool
+    with _idle_lock:
+        displaced, _idle_pool = _idle_pool, (width, pool)
+    if displaced is not None:
+        displaced[1].shutdown(wait=True, cancel_futures=True)
+
+
 def _commit_result(
     results: List[Any],
     index: int,
@@ -385,15 +463,23 @@ def _pool_generation(
     Dispatch is wave-based — at most *workers* groups of at most *chunk*
     cells are ever in flight — so when the pool breaks, the set of cells
     that might have killed it is bounded by ``workers * chunk``, not the
-    campaign size.  Returns ``(broken, suspects, leftover)``: the cells
-    in flight at the break (one of them is probably the killer) and the
-    cells never submitted (innocent; re-dispatch freely).
+    campaign size.  Finished groups are popped and the wave topped back
+    up *before* their cells are committed, so workers keep simulating
+    while the supervisor fsyncs the journal.  Returns ``(broken,
+    suspects, leftover)``: the cells in flight at the break (one of them
+    is probably the killer) and the cells never submitted (innocent;
+    re-dispatch freely).
+
+    Multi-worker generations take the warm pool when it is wide enough
+    and park their pool afterwards if it ended clean — nothing broken,
+    nothing in flight.  Any other pool is shut down here; quarantine's
+    single-worker pools are always fresh.
 
     Raises :class:`_PoolUnavailable` when the pool cannot even be
     created (sandboxes without process spawning).
     """
     try:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        width, pool = _take_pool(workers)
     except (OSError, PermissionError, NotImplementedError):
         raise _PoolUnavailable() from None
     runner = _run_spec_batch if failures == "raise" else _run_spec_batch_contained
@@ -401,30 +487,33 @@ def _pool_generation(
     inflight: Dict[Any, List[int]] = {}
     broken = False
     suspects: List[int] = []
+
+    def refill() -> bool:
+        """Top the wave up to *workers* groups; False if the pool broke."""
+        while queue and len(inflight) < workers:
+            group = queue.popleft()
+            try:
+                inflight[pool.submit(runner, [spec_list[i] for i in group])] = group
+            except (BrokenProcessPool, RuntimeError):
+                queue.appendleft(group)
+                return False
+        return True
+
+    def commit(group: List[int], cells: List[Any]) -> None:
+        for i, cell in zip(group, cells):
+            _commit_result(results, i, cell, journal, fingerprints, stats, progress)
+
     try:
-        while queue or inflight:
-            while queue and len(inflight) < workers:
-                group = queue.popleft()
-                try:
-                    inflight[
-                        pool.submit(runner, [spec_list[i] for i in group])
-                    ] = group
-                except (BrokenProcessPool, RuntimeError):
-                    queue.appendleft(group)
-                    broken = True
-                    break
-            if broken or not inflight:
-                break
+        broken = not refill()
+        while inflight and not broken:
             done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
+            landed = []
+            error: Optional[BaseException] = None
             for future in done:
                 group = inflight.pop(future)
                 exc = future.exception()
                 if exc is None:
-                    for i, cell in zip(group, future.result()):
-                        _commit_result(
-                            results, i, cell, journal, fingerprints,
-                            stats, progress,
-                        )
+                    landed.append((group, future.result()))
                 elif isinstance(exc, BrokenProcessPool):
                     # Any cell in the dead worker's batch could be the
                     # killer; quarantine re-runs them one at a time.
@@ -434,24 +523,27 @@ def _pool_generation(
                     # failures="raise": the cell's own exception
                     # propagates exactly as the serial path would raise
                     # it (DeadlineMissError with on_miss="raise", ...).
-                    raise exc
-            if broken:
-                break
+                    error = exc
+            if not broken and error is None:
+                broken = not refill()
+            for group, cells in landed:
+                commit(group, cells)
+            if error is not None:
+                raise error
         if broken and inflight:
             # The pool fails every remaining future promptly once broken;
             # a worker may still have completed a batch in the same race.
             wait(list(inflight))
             for future, group in inflight.items():
                 if future.exception() is None and not future.cancelled():
-                    for i, cell in zip(group, future.result()):
-                        _commit_result(
-                            results, i, cell, journal, fingerprints,
-                            stats, progress,
-                        )
+                    commit(group, future.result())
                 else:
                     suspects.extend(group)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if width > 1 and not broken and not inflight:
+            _park_pool(width, pool)
+        else:
+            pool.shutdown(wait=True, cancel_futures=True)
     return broken, suspects, [i for group in queue for i in group]
 
 
@@ -620,7 +712,7 @@ def run_many(
     if checkpoint is not None:
         journal = CheckpointJournal(checkpoint)
         fingerprints = [spec_fingerprint(spec) for spec in spec_list]
-        stored = journal.load()
+        stored = journal.load(fp for fp in fingerprints if fp is not None)
         remaining = []
         for i in pending:
             fp = fingerprints[i]

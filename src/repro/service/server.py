@@ -439,6 +439,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle on, the
+    # body waits for the client's delayed ACK (~40 ms per kept-alive
+    # answer).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002

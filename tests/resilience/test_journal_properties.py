@@ -15,6 +15,10 @@ stack is built on:
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -22,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.checkpoint import (
+    JOURNAL_VERSION,
     CheckpointJournal,
     gc_journal,
     scrub_journal,
@@ -110,6 +115,41 @@ def test_gc_and_scrub_are_idempotent(ops):
             fp: {"cell": v["cell"], "revision": v["revision"]}
             for fp, v in loaded.items()
         } == committed
+
+
+def _forge(directory: Path, fp: str, unpicklable: bool) -> None:
+    """Append a line claiming *fp*: a checksum-valid blob that does not
+    unpickle, or a pickled blob whose checksum does not match."""
+    payload = b"not a pickle" if unpicklable else pickle.dumps({"forged": fp})
+    record = {
+        "v": JOURNAL_VERSION,
+        "fp": fp,
+        "sha": hashlib.sha256(payload).hexdigest() if unpicklable else "0" * 64,
+        "blob": base64.b64encode(payload).decode("ascii"),
+    }
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / "journal.jsonl", "ab") as handle:
+        handle.write(json.dumps(record).encode("utf-8") + b"\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=_ops,
+    forged=st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=4),
+    wanted=st.sets(st.sampled_from([f"cell-{i}" for i in range(7)])),
+)
+def test_restricted_load_is_the_filtered_full_load(ops, forged, wanted):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        _apply(directory, ops)
+        for cell, unpicklable in forged:
+            _forge(directory, f"cell-{cell}", unpicklable)
+        _apply(directory, [("commit", 0)])  # an intact record after the forgeries
+        journal = CheckpointJournal(directory)
+        full = journal.load()
+        assert journal.load(wanted) == {
+            fp: value for fp, value in full.items() if fp in wanted
+        }
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
+import time
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -138,6 +142,34 @@ class TestQuery:
             status, payload = client.query(query)
             assert status >= 400
             assert payload["error_kind"] in ERROR_KINDS
+
+
+def test_kept_alive_answers_do_not_stall(service_url):
+    # Headers and body leave in separate writes; with Nagle on, every
+    # answer on a kept-alive connection waited ~40 ms for a delayed ACK.
+    parsed = urlparse(service_url)
+    connection = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
+    body = json.dumps(ENERGY)
+
+    def ask():
+        connection.request(
+            "POST", "/v1/query", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 200 and payload["ok"]
+
+    try:
+        ask()  # lands the answer in the cache
+        walls = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            ask()
+            walls.append(time.perf_counter() - t0)
+    finally:
+        connection.close()
+    assert statistics.median(walls) < 0.020
 
 
 def test_admission_overflow_returns_503_with_retry_after():
