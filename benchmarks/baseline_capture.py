@@ -30,25 +30,6 @@ CAMPAIGN_BCET_RATIO = 0.5
 SINGLE_WORKLOAD = "cnc"
 SINGLE_DURATION = 2_000_000.0
 
-#: The 14-cell fast-path campaign: deterministic (WcetModel) cells over
-#: long horizons, where hyperperiod fast-forwarding pays off.  4 policies
-#: x 2 workloads x 2 seeds at a 1.5 s horizon (~3750 example / ~200 CNC
-#: hyperperiods), minus the documented non-converging pair below.
-FASTPATH_POLICIES: Tuple[str, ...] = ("fps", "lpfps", "static-fps", "ccedf")
-FASTPATH_WORKLOADS: Tuple[str, ...] = ("cnc", "example")
-FASTPATH_SEEDS: Tuple[int, ...] = (1, 2)
-FASTPATH_DURATION = 1_500_000.0
-
-#: (policy, workload) pairs excluded from the headline grid because the
-#: steady-state detector provably never converges there — ``lpfps`` on
-#: ``example`` accumulates ULP-level ramp-time drift cycle over cycle,
-#: so the repr-exact signature never repeats and every such cell runs
-#: the exact loop end to end.  A fallback cell costs the same on both
-#: paths, so inside the headline grid it would only dilute the wall
-#: ratio; instead ``bench_kernel.py`` measures it separately as the
-#: fallback-overhead probe (detection bookkeeping must stay cheap).
-FASTPATH_NONCONVERGING: Tuple[Tuple[str, str], ...] = (("lpfps", "example"),)
-
 OUT_PATH = pathlib.Path(__file__).parent / "out" / "kernel_baseline.json"
 
 
@@ -152,86 +133,6 @@ def time_campaign_serial(record_trace: bool = False) -> dict:
         "simulated_us_per_wall_s": simulated / wall,
         "jobs_completed": total_jobs,
         "record_trace": record_trace,
-    }
-
-
-def fastpath_cells() -> List[Tuple[str, str, int]]:
-    """The 14 (policy, workload, seed) fast-path cells, in fixed order."""
-    return [
-        (policy, workload, seed)
-        for policy in FASTPATH_POLICIES
-        for workload in FASTPATH_WORKLOADS
-        for seed in FASTPATH_SEEDS
-        if (policy, workload) not in FASTPATH_NONCONVERGING
-    ]
-
-
-def _fastpath_spec(policy: str, workload: str, seed: int, execution: str):
-    from repro.experiments.runner import RunSpec
-    from repro.tasks.generation import WcetModel
-    from repro.workloads.registry import get_workload
-
-    taskset = (
-        get_workload(workload).prioritized().with_bcet_ratio(CAMPAIGN_BCET_RATIO)
-    )
-    return RunSpec(
-        taskset=taskset,
-        scheduler=policy,
-        seed=seed,
-        execution_model=WcetModel(),
-        duration=FASTPATH_DURATION,
-        on_miss="record",
-        execution=execution,
-    )
-
-
-def fastpath_specs(execution: str) -> list:
-    """Build the fast-path campaign's :class:`RunSpec` list.
-
-    *execution* is ``"exact"`` or ``"fast"`` — the same cells either
-    way, so job counts and digests are directly comparable.
-    """
-    return [
-        _fastpath_spec(policy, workload, seed, execution)
-        for policy, workload, seed in fastpath_cells()
-    ]
-
-
-def fallback_cell_spec(execution: str):
-    """One known never-converging cell — the fallback-overhead probe."""
-    policy, workload = FASTPATH_NONCONVERGING[0]
-    return _fastpath_spec(policy, workload, FASTPATH_SEEDS[0], execution)
-
-
-def time_fastpath_campaign(execution: str, jobs: int = 1, chunk=None) -> dict:
-    """Wall time of the 16-cell fast-path campaign through ``run_many``.
-
-    Returns the usual throughput numbers plus ``paths`` — a histogram of
-    ``metadata["execution_path"]`` values, so callers can assert that
-    the fast configuration actually fast-forwarded (and not silently
-    fell back to the exact loop on every cell).
-    """
-    from repro.experiments.runner import run_many
-
-    specs = fastpath_specs(execution)
-    t0 = time.perf_counter()
-    results = run_many(specs, jobs=jobs, chunk=chunk)
-    wall = time.perf_counter() - t0
-    simulated = FASTPATH_DURATION * len(specs)
-    paths: dict = {}
-    for result in results:
-        path = result.metadata.get("execution_path", "unknown")
-        paths[path] = paths.get(path, 0) + 1
-    return {
-        "wall_s": wall,
-        "cells": len(specs),
-        "jobs": jobs,
-        "chunk": chunk,
-        "simulated_us": simulated,
-        "simulated_us_per_wall_s": simulated / wall,
-        "jobs_completed": sum(r.jobs_completed for r in results),
-        "execution": execution,
-        "paths": paths,
     }
 
 

@@ -27,14 +27,10 @@ import time
 from baseline_capture import (
     CAMPAIGN_BCET_RATIO,
     CAMPAIGN_DURATION,
-    FASTPATH_DURATION,
     OUT_PATH as BASELINE_PATH,
     calibrate,
     campaign_cells,
-    fallback_cell_spec,
-    fastpath_cells,
     time_campaign_serial,
-    time_fastpath_campaign,
     time_single_cell,
 )
 
@@ -184,102 +180,3 @@ def test_kernel_throughput(artifact, metrics_out):
     # to absorb residual calibration noise.
     assert campaign_kernel_speedup > 1.4
     assert campaign_sweep_speedup > 1.7
-
-
-def test_fastpath_campaign(artifact, metrics_out):
-    """Fast-path throughput: hyperperiod fast-forwarding vs the exact loop.
-
-    Runs the shared 14-cell deterministic campaign (4 policies x 2
-    workloads x 2 seeds minus the documented non-converging pair, 1.5 s
-    horizons) through ``run_many`` three ways — exact, fast, and fast +
-    chunked dispatch — and gates on the self-normalized wall ratio.
-    Both sides run back-to-back on the same clock in the same process,
-    so the ratio is clock-neutral by construction (no calibration probe
-    needed).  The excluded lpfps/example cell is measured separately:
-    a never-converging cell runs the exact loop end to end either way,
-    so what matters there is that the detector's bookkeeping stays
-    cheap (``fastpath_fallback_overhead``).
-
-    The equivalence contract itself (bit-identical integer counters,
-    audited float tolerance) is proven by
-    ``tests/sim/test_fastpath_equivalence.py``; this benchmark pins the
-    *performance* claim and cross-checks job counts.
-    """
-    import time as time_module
-
-    cores = os.cpu_count() or 1
-    cells = len(fastpath_cells())
-    exact = time_fastpath_campaign("exact")
-    fast = time_fastpath_campaign("fast")
-    fast_chunked = time_fastpath_campaign("fast", jobs=4, chunk=4)
-
-    # The fast path must replay the exact loop job-for-job — a cheap
-    # live cross-check of the differential suite's full-digest proof.
-    assert fast["jobs_completed"] == exact["jobs_completed"]
-    assert fast_chunked["jobs_completed"] == exact["jobs_completed"]
-
-    # Every grid cell must actually fast-forward: if cells silently
-    # degrade to the exact loop the speedup claim is meaningless, so
-    # gate the path histogram, not just the wall ratio.
-    fastforwarded = fast["paths"].get("fast-forward", 0)
-    assert fastforwarded == cells, (
-        f"only {fastforwarded}/{cells} cells fast-forwarded: {fast['paths']}"
-    )
-
-    fastpath_speedup = exact["wall_s"] / fast["wall_s"]
-    chunked_speedup = exact["wall_s"] / fast_chunked["wall_s"]
-
-    # Fallback-overhead probe: the never-converging lpfps/example cell.
-    # Both paths run the exact loop to the horizon; the fast side adds
-    # only per-hyperperiod signature captures until the detector gives
-    # up, which must stay a small fraction of the cell.
-    t0 = time_module.perf_counter()
-    fb_exact_result = fallback_cell_spec("exact").run()
-    fb_exact = time_module.perf_counter() - t0
-    t0 = time_module.perf_counter()
-    fb_fast_result = fallback_cell_spec("fast").run()
-    fb_fast = time_module.perf_counter() - t0
-    assert fb_fast_result.metadata["execution_path"] == "exact-fallback"
-    assert fb_fast_result.jobs_completed == fb_exact_result.jobs_completed
-    fallback_overhead = fb_fast / fb_exact - 1.0
-
-    lines = [
-        "EXP-K: fast-path campaign (deterministic cells, 1.5 s horizons)",
-        f"cpu_count: {cores}  |  horizon: {FASTPATH_DURATION / 1e6:.1f} s"
-        f"  |  cells: {cells}",
-        "",
-        _row("fast-path campaign, exact serial", exact),
-        _row("fast-path campaign, fast serial", fast),
-        _row("fast-path campaign, fast jobs=4 chunk=4", fast_chunked),
-        "",
-        f"execution paths (fast serial):              {fast['paths']}",
-        f"fast-path speedup (fast vs exact, serial):  {fastpath_speedup:.2f}x",
-        f"fast-path speedup (chunked vs exact):       {chunked_speedup:.2f}x",
-        f"fallback overhead (lpfps/example, never"
-        f" converges; fast vs exact wall):            {fallback_overhead:+.1%}",
-    ]
-    artifact("fastpath_campaign", "\n".join(lines))
-
-    add = metrics_out
-    add("fastpath_cells", cells, "cells")
-    add("fastpath_fastforward_cells", fastforwarded, "cells")
-    add(
-        "fastpath_exact_per_wall_s",
-        round(exact["simulated_us_per_wall_s"], 1),
-        "simulated µs per wall-clock s",
-    )
-    add(
-        "fastpath_fast_per_wall_s",
-        round(fast["simulated_us_per_wall_s"], 1),
-        "simulated µs per wall-clock s",
-    )
-    add("fastpath_campaign_speedup", round(fastpath_speedup, 3), "x")
-    add("fastpath_chunked_speedup", round(chunked_speedup, 3), "x")
-    add("fastpath_fallback_overhead_pct", round(fallback_overhead * 100, 2), "%")
-
-    # Acceptance gates: the fast path must beat the exact loop by >= 5x
-    # on this campaign (self-normalized — same process, same clock, so
-    # container frequency drift cannot fake or hide it), and detection
-    # bookkeeping on a never-converging cell must stay cheap.
-    assert fastpath_speedup >= 5.0
-    assert fallback_overhead < 0.25

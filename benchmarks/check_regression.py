@@ -21,11 +21,6 @@ today's-clock numbers.  (The service latency check borrows the same
 reference — an approximation, since ``bench_service.json`` carries no
 probe of its own, which is one reason its tolerance is wider.)
 
-The fast-path check is different: ``fastpath_campaign_speedup`` is a
-wall ratio measured back-to-back on a single clock, so it needs no
-rescaling and is compared as-is (with its own wide tolerance — see
-:data:`FASTPATH_TOLERANCE`).
-
 Exit status 0 when everything is within tolerance, 1 on any regression
 beyond it — throughputs more than ``--tolerance`` (default 20%) slower
 than expected, or the warm-hit HTTP p50 more than
@@ -54,12 +49,6 @@ KERNEL_BASELINE_PATH = OUT_DIR / "kernel_baseline.json"
 #: Default regression tolerances, as fractions of the expected value.
 THROUGHPUT_TOLERANCE = 0.20
 LATENCY_TOLERANCE = 0.50
-#: The fast-path speedup is a ratio of a tens-of-ms wall against a
-#: multi-second wall, so load jitter swings it by whole multiples while real
-#: rot (cells silently degrading to the exact loop) collapses it toward
-#: 1x — two orders of magnitude below the committed ~170x.  A wide
-#: tolerance separates those regimes without false alarms.
-FASTPATH_TOLERANCE = 0.75
 
 
 class GateInputError(Exception):
@@ -145,15 +134,12 @@ def evaluate(
     service_bench: Optional[Mapping[str, Any]] = None,
     tolerance: float = THROUGHPUT_TOLERANCE,
     latency_tolerance: float = LATENCY_TOLERANCE,
-    fastpath_tolerance: float = FASTPATH_TOLERANCE,
 ) -> List[Check]:
     """Pure gate logic: rescale baselines to the current clock and compare.
 
     *fresh* must carry ``ops_per_s``, ``campaign_per_wall_s``, and
     ``single_cell_per_wall_s``; ``hit_p50_ms`` is checked only when both
-    it and *service_bench* are present, and ``fastpath_speedup`` only
-    when *fresh* carries it (the fast-path ratio is self-normalized —
-    both sides measured on the same clock — so no rescaling applies).
+    it and *service_bench* are present.
     """
     ops_at_bench = baseline_value(kernel_baseline, "calibration_ops_per_s") * (
         metric_value(kernel_bench, "test_kernel_throughput", "clock_scale_vs_capture")
@@ -183,22 +169,6 @@ def evaluate(
                 direction="higher-is-better",
             )
         )
-    if "fastpath_speedup" in fresh:
-        baseline = metric_value(
-            kernel_bench, "test_fastpath_campaign", "fastpath_campaign_speedup"
-        )
-        checks.append(
-            Check(
-                name="kernel.fastpath_speedup",
-                baseline=baseline,
-                # A wall ratio measured back-to-back on one clock: clock
-                # drift cancels, so expected == baseline, unrescaled.
-                expected=baseline,
-                fresh=float(fresh["fastpath_speedup"]),
-                tolerance=fastpath_tolerance,
-                direction="higher-is-better",
-            )
-        )
     if service_bench is not None and "hit_p50_ms" in fresh:
         baseline = metric_value(
             service_bench, "test_hit_miss_latency_over_http", "hit_latency_p50_ms"
@@ -216,16 +186,9 @@ def evaluate(
     return checks
 
 
-def capture_fresh(
-    probe_service: bool = True, probe_fastpath: bool = True
-) -> Dict[str, float]:
-    """Measure the current tree: clock probe, kernel runs, optional probes."""
-    from baseline_capture import (
-        calibrate,
-        time_campaign_serial,
-        time_fastpath_campaign,
-        time_single_cell,
-    )
+def capture_fresh(probe_service: bool = True) -> Dict[str, float]:
+    """Measure the current tree: clock probe, kernel runs, service probe."""
+    from baseline_capture import calibrate, time_campaign_serial, time_single_cell
 
     fresh: Dict[str, float] = {"ops_per_s": calibrate()}
     fresh["single_cell_per_wall_s"] = time_single_cell(record_trace=False)[
@@ -234,16 +197,6 @@ def capture_fresh(
     fresh["campaign_per_wall_s"] = time_campaign_serial(record_trace=False)[
         "simulated_us_per_wall_s"
     ]
-    if probe_fastpath:
-        exact = time_fastpath_campaign("exact")
-        fast = time_fastpath_campaign("fast")
-        if fast["jobs_completed"] != exact["jobs_completed"]:
-            raise RuntimeError(
-                "fast-path probe diverged: "
-                f"{fast['jobs_completed']} jobs (fast) vs "
-                f"{exact['jobs_completed']} (exact)"
-            )
-        fresh["fastpath_speedup"] = exact["wall_s"] / fast["wall_s"]
     if probe_service:
         fresh["hit_p50_ms"] = probe_warm_hit_p50_ms()
     return fresh
@@ -296,10 +249,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the HTTP warm-hit probe (kernel checks only)",
     )
     parser.add_argument(
-        "--skip-fastpath", action="store_true",
-        help="skip the fast-path speedup probe and its gate",
-    )
-    parser.add_argument(
         "--json", type=pathlib.Path, default=None,
         help="also write the verdicts to this JSON file",
     )
@@ -313,15 +262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.skip_service and SERVICE_BENCH_PATH.exists()
         else None
     )
-    probe_fastpath = not args.skip_fastpath and any(
-        metric.get("name") == "fastpath_campaign_speedup"
-        for metric in kernel_bench.get("tests", {})
-        .get("test_fastpath_campaign", {})
-        .get("metrics", ())
-    )
-    fresh = capture_fresh(
-        probe_service=service_bench is not None, probe_fastpath=probe_fastpath
-    )
+    fresh = capture_fresh(probe_service=service_bench is not None)
     try:
         checks = evaluate(
             kernel_bench,

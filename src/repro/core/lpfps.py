@@ -113,10 +113,6 @@ class LpfpsScheduler(Scheduler):
         """Reset per-run state so one policy object can serve many runs."""
         self._restoring = False
 
-    def fastforward_signature(self, now: float) -> bool:
-        """The only cross-call state is the restore-in-flight flag."""
-        return self._restoring
-
     def schedule(self, kernel, event: SchedEvent) -> Decision:
         """One pass of the Figure-4 pseudo-code."""
         # L5–L7, hoisted above the L1–L4 speed restore: due requests enter

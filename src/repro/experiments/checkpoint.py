@@ -21,6 +21,12 @@ pieces:
   worst one torn trailing line, which :meth:`~CheckpointJournal.load`
   skips.  A corrupt record degrades to recomputing that cell — never to
   serving a wrong result (checksum mismatch → miss, the cache idiom).
+
+Maintenance (:func:`gc_journal`, ``scrub_journal(repair=True)``)
+rewrites the journal by atomic rename, which would strand an open
+appender on the replaced inode.  Appenders therefore hold a shared
+``flock`` on a ``journal.lock`` sidecar while their handle is open, and
+maintenance takes it exclusively or refuses.
 """
 
 from __future__ import annotations
@@ -31,21 +37,33 @@ import json
 import os
 import pickle
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, Iterator, Optional, Set, Tuple, Union,
+)
+
+try:  # pragma: no cover - absent only on non-POSIX platforms
+    import fcntl
+except ImportError:  # pragma: no cover
+    fcntl = None  # type: ignore[assignment]
+
+from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner ← checkpoint)
     from .runner import RunSpec
 
 #: Bumped whenever the canonical payload layout or the journal record
 #: format changes, so stale journals can never alias a new fingerprint.
-#: v2: the payload gained the ``execution`` key (exact vs fast kernel
-#: path), so pre-fast-path journals can never satisfy a fast cell.
+#: v2: the payload gained the ``execution`` key, now the constant
+#: ``"exact"`` (the only kernel path) so v2 journals stay valid.
 JOURNAL_VERSION = 2
 
 #: Journal file name inside a checkpoint directory.
 JOURNAL_NAME = "journal.jsonl"
+#: Sidecar whose ``flock`` keeps maintenance off a journal being appended.
+JOURNAL_LOCK_NAME = "journal.lock"
 
 
 def _num(value: float) -> str:
@@ -188,7 +206,8 @@ def canonical_spec_payload(spec: "RunSpec") -> Optional[Dict[str, Any]]:
         "scheduler_overhead": _num(spec.scheduler_overhead),
         "faults": faults,
         "record_trace": bool(spec.record_trace),
-        "execution": spec.execution,
+        # Constant: kept so fingerprints from v2 journals still match.
+        "execution": "exact",
     }
 
 
@@ -237,19 +256,24 @@ class CheckpointJournal:
 
     One JSONL record per committed cell::
 
-        {"v": 1, "fp": "<spec fingerprint>", "sha": "<sha256 of blob>",
+        {"v": 2, "fp": "<spec fingerprint>", "sha": "<sha256 of blob>",
          "blob": "<base64 pickled SimulationResult>"}
 
     Crash consistency comes from the write discipline (serialise →
     append → flush → fsync, in that order, one line per record) plus a
     tolerant reader: a torn trailing line, a checksum mismatch, or an
     unpicklable blob all degrade to recomputing that cell.
+
+    From its first append until :meth:`close` the journal holds a shared
+    lock on the ``journal.lock`` sidecar, so :func:`gc_journal` and a
+    repairing :func:`scrub_journal` cannot replace the file under it.
     """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_NAME
         self._handle = None
+        self._lock_fd: Optional[int] = None
 
     # -- read ----------------------------------------------------------------
     def load(self, wanted: Optional[Iterable[str]] = None) -> Dict[str, Any]:
@@ -313,6 +337,10 @@ class CheckpointJournal:
         try:
             if self._handle is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
+                # Lock before opening: a maintenance rewrite finishing
+                # first leaves the handle on the new inode, not the old.
+                if self._lock_fd is None:
+                    self._lock_fd = _lock_journal(self.directory, shared=True)
                 self._handle = open(self.path, "a+b")
                 # A crash mid-append can leave a torn tail with no
                 # newline; appending straight after it would glue this
@@ -333,18 +361,86 @@ class CheckpointJournal:
         return True
 
     def close(self) -> None:
-        """Close the append handle; idempotent."""
-        if self._handle is not None:
-            try:
+        """Close the append handle and release the lock; idempotent."""
+        try:
+            if self._handle is not None:
                 self._handle.close()
-            finally:
-                self._handle = None
+        finally:
+            self._handle = None
+            _unlock_journal(self._lock_fd)
+            self._lock_fd = None
 
     def __enter__(self) -> "CheckpointJournal":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _lock_journal(directory: Path, shared: bool) -> Optional[int]:
+    """Descriptor holding the journal lock of *directory*.
+
+    Shared locks (appenders) wait out a running maintenance pass; the
+    exclusive lock (maintenance) never waits and raises
+    :class:`~repro.errors.ConfigurationError` while a journal is open
+    for appending.  ``None`` where ``flock`` is unavailable, and for
+    maintenance in a directory where the sidecar neither exists nor can
+    be created (read-only media): no appender can hold it there either.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX
+        return None
+    lock_path = directory / JOURNAL_LOCK_NAME
+    try:
+        # flock needs no write access; read-only opens also work on a
+        # sidecar created by another user.
+        fd = os.open(str(lock_path), os.O_RDONLY | os.O_CREAT, 0o644)
+    except OSError as exc:
+        if shared:
+            raise
+        if not lock_path.exists():
+            return None
+        raise ConfigurationError(
+            f"cannot open checkpoint journal lock {lock_path}: {exc.strerror}"
+        ) from None
+    try:
+        if shared:
+            fcntl.flock(fd, fcntl.LOCK_SH)
+        else:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise ConfigurationError(
+            f"checkpoint journal in {directory} is open by a running "
+            "campaign; retry once it finishes"
+        ) from None
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _unlock_journal(fd: Optional[int]) -> None:
+    """Release and close a descriptor from :func:`_lock_journal`.
+
+    The explicit ``LOCK_UN`` drops the lock even while forked pool
+    workers still hold inherited copies of the descriptor.
+    """
+    if fd is None:
+        return
+    try:
+        fcntl.flock(fd, fcntl.LOCK_UN)
+    finally:
+        os.close(fd)
+
+
+@contextmanager
+def _maintenance_lock(directory: Path) -> Iterator[None]:
+    """Hold the journal lock exclusively for one rewrite."""
+    fd = _lock_journal(directory, shared=False)
+    try:
+        yield
+    finally:
+        _unlock_journal(fd)
 
 
 @dataclass(frozen=True)
@@ -393,17 +489,24 @@ def gc_journal(
     so dropping an *earlier* duplicate can never change what
     :meth:`CheckpointJournal.load` returns — later records already won.
 
-    Run it only while no campaign is appending to the journal: a
-    concurrent appender's records landing between read and replace
-    would be lost.
+    A rewrite needs the journal lock exclusively: while a campaign has
+    the journal open for appending this raises
+    :class:`~repro.errors.ConfigurationError` instead of losing its
+    later records.
 
     ``dry_run=True`` computes the same report without touching the file.
     """
-    from ..errors import ConfigurationError
-
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigurationError(f"{directory} is not a checkpoint directory")
+    if dry_run:
+        return _gc_pass(directory, dry_run=True)
+    with _maintenance_lock(directory):
+        return _gc_pass(directory, dry_run=False)
+
+
+def _gc_pass(directory: Path, dry_run: bool) -> JournalGcReport:
+    """One read (and, unless *dry_run*, rewrite) for :func:`gc_journal`."""
     path = directory / JOURNAL_NAME
     try:
         raw = path.read_bytes()
@@ -513,17 +616,28 @@ def scrub_journal(
     rewritten **atomically** keeping only intact lines, verbatim and in
     order — unlike :func:`gc_journal` it never drops an intact record,
     superseded or not, so scrubbing commutes with compaction.  A missing
-    journal is a clean no-op.  Like GC, repair must not race a live
-    appender.
+    journal is a clean no-op.  Like GC, repair takes the journal lock
+    exclusively and raises :class:`~repro.errors.ConfigurationError`
+    while a campaign is appending.
 
     Counters (when *obs* is an obs registry):
     ``cache.scrub_journal_records``, ``cache.scrub_journal_intact``,
     ``cache.scrub_journal_corrupt``, ``cache.scrub_journal_dropped``.
     """
+    directory = Path(directory)
+    if not repair:
+        return _scrub_pass(directory, False, obs)
+    if not directory.is_dir():
+        return JournalScrubReport(path=directory / JOURNAL_NAME, repair=True)
+    with _maintenance_lock(directory):
+        return _scrub_pass(directory, True, obs)
+
+
+def _scrub_pass(directory: Path, repair: bool, obs: Any) -> JournalScrubReport:
+    """One verify (and, with *repair*, rewrite) for :func:`scrub_journal`."""
     from ..obs.registry import DISABLED
 
     sink = obs if obs is not None else DISABLED
-    directory = Path(directory)
     path = directory / JOURNAL_NAME
     try:
         raw = path.read_bytes()

@@ -73,15 +73,6 @@ class RunSpec:
     cells.  *faults*, when present, is likewise either a ready
     :class:`~repro.faults.layer.FaultLayer` or a zero-argument factory
     for one.
-
-    *execution* selects the kernel path: ``"exact"`` (default) runs the
-    event loop to the horizon; ``"fast"`` goes through
-    :func:`~repro.sim.fastpath.simulate_fast` with ``exact=False`` —
-    hyperperiod fast-forwarding under the audited float tolerance, with
-    automatic exact fallback for ineligible or non-converging cells.
-    Either way ``result.metadata["execution_path"]`` records which path
-    actually produced the cell, and the checkpoint fingerprint includes
-    *execution*, so one campaign journal never mixes paths.
     """
 
     taskset: TaskSet
@@ -94,14 +85,7 @@ class RunSpec:
     scheduler_overhead: float = 0.0
     faults: Union[None, FaultLayer, Callable[[], FaultLayer]] = None
     record_trace: bool = False
-    execution: str = "exact"
     extra: Dict[str, Any] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.execution not in ("exact", "fast"):
-            raise ConfigurationError(
-                f"execution must be 'exact' or 'fast', got {self.execution!r}"
-            )
 
     def build_scheduler(self) -> Any:
         """Instantiate this cell's scheduler."""
@@ -117,7 +101,9 @@ class RunSpec:
         faults = self.faults
         if faults is not None and not isinstance(faults, FaultLayer):
             faults = faults()
-        kwargs = dict(
+        return simulate(
+            self.taskset,
+            self.build_scheduler(),
             spec=self.spec,
             execution_model=self.execution_model,
             duration=self.duration,
@@ -127,15 +113,6 @@ class RunSpec:
             faults=faults,
             record_trace=self.record_trace,
         )
-        if self.execution == "fast":
-            from ..sim.fastpath import simulate_fast
-
-            return simulate_fast(
-                self.taskset, self.build_scheduler(), exact=False, **kwargs
-            )
-        result = simulate(self.taskset, self.build_scheduler(), **kwargs)
-        result.metadata["execution_path"] = "exact"
-        return result
 
 
 @dataclass
@@ -255,31 +232,6 @@ def _run_spec_contained(spec: RunSpec) -> Union[SimulationResult, CellFailure]:
         return CellFailure.from_exception(spec, exc)
 
 
-def _run_spec_batch(specs: List[RunSpec]) -> List[SimulationResult]:
-    """Batch trampoline: run a chunk of cells in one worker round-trip.
-
-    Amortises pickle + IPC overhead over ``chunk`` cells — the win that
-    makes short fast-path cells worth pooling at all.  Results come back
-    aligned with *specs*.
-    """
-    return [_run_spec(spec) for spec in specs]
-
-
-def _run_spec_batch_contained(
-    specs: List[RunSpec],
-) -> List[Union[SimulationResult, CellFailure]]:
-    """Batch trampoline for ``failures="contain"`` campaigns."""
-    return [_run_spec_contained(spec) for spec in specs]
-
-
-def _chunked(indices: Sequence[int], chunk: int) -> List[List[int]]:
-    """Split *indices* into dispatch groups of at most *chunk* cells."""
-    return [
-        list(indices[start:start + chunk])
-        for start in range(0, len(indices), chunk)
-    ]
-
-
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Resolve a *jobs* knob to a concrete worker count.
 
@@ -365,7 +317,7 @@ def _take_pool(width: int) -> Tuple[int, ProcessPoolExecutor]:
     """``(pool width, pool)`` with at least *width* workers: the idle warm
     pool if it is wide enough and intact, else a new one.
 
-    The caller still keeps at most *width* groups in flight, so a wider
+    The caller still keeps at most *width* cells in flight, so a wider
     pool never widens the set of worker-death suspects.  Quarantine
     (*width* 1) always gets a fresh pool.  New workers start lazily on
     the first submit, so this costs nothing until the campaign
@@ -456,19 +408,17 @@ def _pool_generation(
     fingerprints: Optional[List[Optional[str]]],
     stats: _CampaignStats,
     progress: Optional[Callable[[int, Any], None]] = None,
-    chunk: int = 1,
 ) -> Tuple[bool, List[int], List[int]]:
     """Run *indices* through one process pool until done or it breaks.
 
-    Dispatch is wave-based — at most *workers* groups of at most *chunk*
-    cells are ever in flight — so when the pool breaks, the set of cells
-    that might have killed it is bounded by ``workers * chunk``, not the
-    campaign size.  Finished groups are popped and the wave topped back
-    up *before* their cells are committed, so workers keep simulating
-    while the supervisor fsyncs the journal.  Returns ``(broken,
-    suspects, leftover)``: the cells in flight at the break (one of them
-    is probably the killer) and the cells never submitted (innocent;
-    re-dispatch freely).
+    Dispatch is wave-based — at most *workers* cells are ever in flight
+    — so when the pool breaks, the set of cells that might have killed
+    it is bounded by *workers*, not the campaign size.  Finished cells
+    are popped and the wave topped back up *before* they are committed,
+    so workers keep simulating while the supervisor fsyncs the journal.
+    Returns ``(broken, suspects, leftover)``: the cells in flight at the
+    break (one of them is probably the killer) and the cells never
+    submitted (innocent; re-dispatch freely).
 
     Multi-worker generations take the warm pool when it is wide enough
     and park their pool afterwards if it ended clean — nothing broken,
@@ -482,26 +432,25 @@ def _pool_generation(
         width, pool = _take_pool(workers)
     except (OSError, PermissionError, NotImplementedError):
         raise _PoolUnavailable() from None
-    runner = _run_spec_batch if failures == "raise" else _run_spec_batch_contained
-    queue: "deque[List[int]]" = deque(_chunked(indices, chunk))
-    inflight: Dict[Any, List[int]] = {}
+    runner = _run_spec if failures == "raise" else _run_spec_contained
+    queue: "deque[int]" = deque(indices)
+    inflight: Dict[Any, int] = {}
     broken = False
     suspects: List[int] = []
 
     def refill() -> bool:
-        """Top the wave up to *workers* groups; False if the pool broke."""
+        """Top the wave up to *workers* cells; False if the pool broke."""
         while queue and len(inflight) < workers:
-            group = queue.popleft()
+            i = queue.popleft()
             try:
-                inflight[pool.submit(runner, [spec_list[i] for i in group])] = group
+                inflight[pool.submit(runner, spec_list[i])] = i
             except (BrokenProcessPool, RuntimeError):
-                queue.appendleft(group)
+                queue.appendleft(i)
                 return False
         return True
 
-    def commit(group: List[int], cells: List[Any]) -> None:
-        for i, cell in zip(group, cells):
-            _commit_result(results, i, cell, journal, fingerprints, stats, progress)
+    def commit(i: int, cell: Any) -> None:
+        _commit_result(results, i, cell, journal, fingerprints, stats, progress)
 
     try:
         broken = not refill()
@@ -510,15 +459,15 @@ def _pool_generation(
             landed = []
             error: Optional[BaseException] = None
             for future in done:
-                group = inflight.pop(future)
+                i = inflight.pop(future)
                 exc = future.exception()
                 if exc is None:
-                    landed.append((group, future.result()))
+                    landed.append((i, future.result()))
                 elif isinstance(exc, BrokenProcessPool):
-                    # Any cell in the dead worker's batch could be the
-                    # killer; quarantine re-runs them one at a time.
+                    # The dead worker's cell could be the killer;
+                    # quarantine re-runs it on its own.
                     broken = True
-                    suspects.extend(group)
+                    suspects.append(i)
                 else:
                     # failures="raise": the cell's own exception
                     # propagates exactly as the serial path would raise
@@ -526,25 +475,25 @@ def _pool_generation(
                     error = exc
             if not broken and error is None:
                 broken = not refill()
-            for group, cells in landed:
-                commit(group, cells)
+            for i, cell in landed:
+                commit(i, cell)
             if error is not None:
                 raise error
         if broken and inflight:
             # The pool fails every remaining future promptly once broken;
-            # a worker may still have completed a batch in the same race.
+            # a worker may still have completed a cell in the same race.
             wait(list(inflight))
-            for future, group in inflight.items():
+            for future, i in inflight.items():
                 if future.exception() is None and not future.cancelled():
-                    commit(group, future.result())
+                    commit(i, future.result())
                 else:
-                    suspects.extend(group)
+                    suspects.append(i)
     finally:
         if width > 1 and not broken and not inflight:
             _park_pool(width, pool)
         else:
             pool.shutdown(wait=True, cancel_futures=True)
-    return broken, suspects, [i for group in queue for i in group]
+    return broken, suspects, list(queue)
 
 
 def _run_pool_supervised(
@@ -558,7 +507,6 @@ def _run_pool_supervised(
     fingerprints: Optional[List[Optional[str]]],
     stats: _CampaignStats,
     progress: Optional[Callable[[int, Any], None]] = None,
-    chunk: int = 1,
 ) -> None:
     """Supervise pool execution across worker deaths.
 
@@ -568,8 +516,7 @@ def _run_pool_supervised(
     breaks only its own pool, so it is identified deterministically and
     charged against its retry budget, while innocent bystanders complete
     on their first quarantine run.  Everything never submitted continues
-    in a fresh full-width pool.  Quarantine always runs one cell per
-    batch regardless of *chunk* — attribution needs isolation.
+    in a fresh full-width pool.
     """
     attempts: Dict[int, int] = {i: 0 for i in indices}
     pending: List[int] = list(indices)
@@ -579,14 +526,12 @@ def _run_pool_supervised(
         if quarantine:
             batch: List[int] = [quarantine.popleft()]
             width = 1
-            batch_chunk = 1
         else:
             batch, pending = pending, []
             width = min(workers, len(batch))
-            batch_chunk = chunk
         broken, suspects, leftover = _pool_generation(
             spec_list, batch, width, failures, results, journal,
-            fingerprints, stats, progress, batch_chunk,
+            fingerprints, stats, progress,
         )
         pending.extend(leftover)
         completed_any = completed_any or any(
@@ -633,7 +578,6 @@ def run_many(
     retries: int = 2,
     checkpoint: Union[None, str, Path] = None,
     progress: Optional[Callable[[int, Any], None]] = None,
-    chunk: Optional[int] = None,
 ) -> List[Union[SimulationResult, CellFailure]]:
     """Execute a campaign of :class:`RunSpec` cells, optionally in parallel.
 
@@ -667,13 +611,6 @@ def run_many(
     supervisor side), in completion order, after the result is committed.
     Live observers (the service's campaign streaming) hang off this hook.
 
-    ``chunk``, when given, batches that many cells into each worker
-    round-trip instead of one — amortising pickle/IPC overhead, which
-    dominates once fast-path cells finish in milliseconds.  Chunking
-    never changes results (each cell is still seeded and independent),
-    only dispatch granularity; worker-death suspects grow to at most one
-    chunk per worker, and quarantine re-runs stay single-cell.
-
     The serial path is also the fallback: spec lists that cannot be
     pickled (e.g. closure-based scheduler factories) and environments
     where worker processes cannot start both degrade to in-process
@@ -695,13 +632,6 @@ def run_many(
         )
     if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
         raise ConfigurationError(f"retries must be an integer >= 0, got {retries!r}")
-    if chunk is not None and (
-        isinstance(chunk, bool) or not isinstance(chunk, int) or chunk < 1
-    ):
-        raise ConfigurationError(
-            f"chunk must be an integer >= 1 or None, got {chunk!r}"
-        )
-    resolved_chunk = 1 if chunk is None else chunk
     resolved = min(resolve_jobs(jobs), os.cpu_count() or 1)
     t0 = perf_counter()
     stats = _CampaignStats()
@@ -751,7 +681,6 @@ def run_many(
                     _run_pool_supervised(
                         spec_list, pending, workers, failures, retries,
                         results, journal, fingerprints, stats, progress,
-                        resolved_chunk,
                     )
                     executor = "process-pool"
                 except _PoolUnavailable:
@@ -766,8 +695,7 @@ def run_many(
         if journal is not None:
             journal.close()
     _annotate_campaign(
-        results, jobs, resolved, workers, executor, perf_counter() - t0, stats,
-        chunk=resolved_chunk,
+        results, jobs, resolved, workers, executor, perf_counter() - t0, stats
     )
     return results
 
@@ -780,7 +708,6 @@ def _annotate_campaign(
     executor: str,
     wall_s: float,
     stats: Optional[_CampaignStats] = None,
-    chunk: int = 1,
 ) -> None:
     """Stamp execution provenance on *results* and gauge it into obs."""
     busy_s = 0.0
@@ -790,7 +717,6 @@ def _annotate_campaign(
         metadata["resolved_jobs"] = resolved_jobs
         metadata["workers"] = workers
         metadata["executor"] = executor
-        metadata["chunk"] = chunk
         busy_s += float(metadata.get("cell_wall_s", 0.0))
     obs = current()
     if not obs.enabled:

@@ -88,16 +88,8 @@ class _FaultFactory:
         return {"factory": "scenario-faults", **self.faults.as_document()}
 
 
-def scenario_specs(
-    scenario: Scenario, execution: str = "exact"
-) -> List[RunSpec]:
-    """The scenario's campaign grid as executor cells, scheduler-major.
-
-    *execution* selects the kernel path per cell (``"exact"`` or
-    ``"fast"``); the fast path demotes itself to exact for any cell the
-    eligibility gate rejects (attached faults, stochastic models), so
-    the knob is always safe to pass through.
-    """
+def scenario_specs(scenario: Scenario) -> List[RunSpec]:
+    """The scenario's campaign grid as executor cells, scheduler-major."""
     from ..schedulers.registry import WEAKLY_HARD_SCHEDULERS
 
     fault_factory = _FaultFactory(scenario.faults)
@@ -118,7 +110,6 @@ def scenario_specs(
                     duration=scenario.campaign.duration,
                     on_miss="record",
                     faults=fault_factory,
-                    execution=execution,
                     extra={"scenario": scenario.name, "scheduler_name": scheduler},
                 )
             )
@@ -205,7 +196,6 @@ def run_scenario(
     *,
     failures: str = "contain",
     progress: Optional[Callable[[ProgressEvent], None]] = None,
-    execution: str = "exact",
     checkpoint: Union[None, str, "Path"] = None,
 ) -> ScenarioReport:
     """Run the whole campaign grid and judge every cell's (m,k) windows.
@@ -223,7 +213,7 @@ def run_scenario(
     (jcl constraints, fault plan) self-describe via
     ``checkpoint_payload()``.
     """
-    specs = scenario_specs(scenario, execution=execution)
+    specs = scenario_specs(scenario)
     labels = [
         (spec.extra["scheduler_name"], spec.seed) for spec in specs
     ]
@@ -273,11 +263,8 @@ def run_scenario(
             event["deadline_misses"] = len(outcome.result.deadline_misses)
             event["average_power"] = outcome.result.average_power
             event["preemptions"] = outcome.result.preemptions
-            metadata = outcome.result.metadata
-            if "execution_path" in metadata:
-                event["execution_path"] = metadata["execution_path"]
-            if "checkpoint" in metadata:
-                event["checkpoint"] = metadata["checkpoint"]
+            if "checkpoint" in outcome.result.metadata:
+                event["checkpoint"] = outcome.result.metadata["checkpoint"]
             if scenario.constraints:
                 event["weakly_hard_ok"] = bool(outcome.satisfied)
                 event["violations"] = dict(outcome.violations)

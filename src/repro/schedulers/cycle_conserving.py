@@ -19,7 +19,7 @@ LPFPS's run-queue-empty precondition forgoes.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
 from ..sim.dispatch import Scheduler, earliest_deadline_dispatch
 from ..sim.events import Decision, SchedEvent, SleepRequest
@@ -71,29 +71,6 @@ class CcEdfScheduler(Scheduler):
     def _speed(self, kernel) -> float:
         total = sum(self._utilization.values())
         return kernel.spec.quantized_speed(min(1.0, max(total, _EPS)))
-
-    def fastforward_signature(self, now: float) -> Tuple:
-        """Utilisation estimates plus the last-dispatched job's role.
-
-        ``_last_dispatched`` matters only through time-free fields (its
-        completion flag and execution time feed :meth:`_note_completion`),
-        so a (task, demand, completed) token captures it.
-        """
-        job = self._last_dispatched
-        token = (
-            None
-            if job is None
-            else (job.task.name, repr(job.execution_time), job.completed)
-        )
-        return (tuple(sorted(self._utilization.items())), token)
-
-    def fast_forward(self, dt: float, index_shift: Mapping[str, int]) -> None:
-        """Nothing to translate: no absolute times or job-index keys.
-
-        ``_last_dispatched`` holds a job reference whose fields the
-        engine shifts in place, and :meth:`_note_completion` reads only
-        time-free fields from it.
-        """
 
     def schedule(self, kernel, event: SchedEvent) -> Decision:
         """EDF dispatch at the cycle-conserving utilisation speed."""

@@ -25,7 +25,7 @@ Policy (Weiser et al., OSDI 1994, adapted to this kernel):
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Optional
 
 from ..errors import ConfigurationError
 from ..sim.dispatch import Scheduler, fixed_priority_dispatch
@@ -113,29 +113,6 @@ class PastScheduler(Scheduler):
                 self._speed - (self.lower_threshold - utilization) * self.step,
             )
         self._speed = kernel.spec.quantized_speed(max(self._speed, _EPS))
-
-    def fastforward_signature(
-        self, now: float
-    ) -> Tuple[float, float, Optional[float], float]:
-        """Interval state relative to *now*: speed, accumulator, phases.
-
-        The tick phase (``now - _last_tick``) is included, so when the
-        tick interval is incommensurate with the hyperperiod the
-        signature never repeats and the fast path correctly refuses to
-        jump (it falls back to exact simulation).
-        """
-        return (
-            self._speed,
-            self._busy_accum,
-            None if self._busy_since is None else now - self._busy_since,
-            now - self._last_tick,
-        )
-
-    def fast_forward(self, dt: float, index_shift: Mapping[str, int]) -> None:
-        """Translate the absolute busy/tick anchors across a cycle skip."""
-        if self._busy_since is not None:
-            self._busy_since += dt
-        self._last_tick += dt
 
     def schedule(self, kernel, event: SchedEvent) -> Decision:
         """FP dispatch at the PAST-predicted speed."""

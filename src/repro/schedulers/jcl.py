@@ -109,28 +109,6 @@ class JclScheduler(Scheduler):
         self._settle(kernel, event)
         return Decision(run=self._dispatch(kernel))
 
-    def fastforward_signature(self, now: float) -> Tuple:
-        """Streak state (plus in-flight class keys by relative identity).
-
-        Streaks evolve monotonically while a constrained task keeps
-        hitting deadlines, so consecutive hyperperiods only match once
-        every streak has saturated — until then the fast path correctly
-        keeps simulating exactly.  Unconstrained task sets (where JCL
-        collapses onto FPS) saturate after one hit each.
-        """
-        return tuple(sorted(self._streaks.items()))
-
-    def fast_forward(self, dt: float, index_shift: Mapping[str, int]) -> None:
-        """Re-key the per-job memos to the shifted job indices."""
-        self._keys = {
-            (name, index + index_shift.get(name, 0)): key
-            for (name, index), key in self._keys.items()
-        }
-        self._inflight = {
-            (name, index + index_shift.get(name, 0)): job
-            for (name, index), job in self._inflight.items()
-        }
-
     # ------------------------------------------------------------------ #
     # Job-class machinery                                                 #
     # ------------------------------------------------------------------ #

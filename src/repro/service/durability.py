@@ -17,7 +17,7 @@ one checkpoint directory::
 Three durability rules, mirroring the journal's:
 
 * **Write-ahead manifest** — the manifest (scenario fingerprint, full
-  canonical document, grid size, execution mode) is written atomically
+  canonical document, grid size) is written atomically
   *before* the first cell runs, so a crash at any instant leaves either
   no campaign or a resumable one, never a half-registered one.
 * **Durable-before-visible events** — an event is appended, flushed and
@@ -31,7 +31,7 @@ Three durability rules, mirroring the journal's:
   recomputed from the cell journal; a corrupt line is never replayed.
 
 Campaign identity is content-addressed: :func:`campaign_key` hashes the
-scenario fingerprint plus the execution mode, so re-submitting the same
+scenario fingerprint, so re-submitting the same
 scenario document reuses the same id — the idempotence that makes
 resume-by-fingerprint work across restarts and replicas.
 
@@ -82,17 +82,17 @@ _EVENTS_SUFFIX = ".events.jsonl"
 _LEASE_SUFFIX = ".lease"
 
 
-def campaign_key(fingerprint: str, execution: str = "exact") -> str:
-    """Stable campaign id for one (scenario fingerprint, execution) pair.
+def campaign_key(fingerprint: str) -> str:
+    """Stable campaign id for one scenario fingerprint.
 
     The id is what ``GET /v1/stream/{id}`` takes, so it must survive a
     restart and be recomputable from the scenario document alone — a
-    content hash is both.  The execution mode participates for the same
-    reason it participates in cell fingerprints: exact and fast runs of
-    one scenario are different campaigns.
+    content hash is both.  The hashed document keeps the constant
+    ``"execution": "exact"`` so ids minted before the kernel had a
+    single path stay valid.
     """
     canon = json.dumps(
-        {"execution": execution, "fingerprint": fingerprint},
+        {"execution": "exact", "fingerprint": fingerprint},
         sort_keys=True,
         separators=(",", ":"),
     )

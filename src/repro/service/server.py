@@ -49,9 +49,6 @@ from .query import Query, QueryError, parse_query
 from .stats import ServiceStats
 from .stream import CampaignEvicted, CampaignHub, TERMINAL_KINDS, sse_render
 
-#: Kernel paths a scenario campaign may request.
-EXECUTION_MODES = ("exact", "fast")
-
 #: Largest accepted request body, bytes — queries are small; anything
 #: bigger is a mistake or abuse.
 MAX_BODY_BYTES = 1_000_000
@@ -159,21 +156,21 @@ class ScheduleService:
         """Validate a scenario request and launch (or resume) its campaign.
 
         The body names a bundled pack (``{"pack": "cnc"}``) or inlines a
-        document (``{"scenario": {...}}``), plus optional ``jobs`` and
-        ``execution`` (``"exact"``/``"fast"``) knobs.  Validation is
-        synchronous — a malformed scenario is rejected here with a
-        field-level error — but the campaign itself runs on a daemon
-        thread, publishing one ``cell`` event per finished cell into
-        :attr:`campaigns` and a terminal ``done`` (or ``error``) event,
-        so ``GET /v1/stream/{campaign_id}`` can follow it live.
+        document (``{"scenario": {...}}``), plus an optional ``jobs``
+        knob.  Validation is synchronous — a malformed scenario is
+        rejected here with a field-level error — but the campaign
+        itself runs on a daemon thread, publishing one ``cell`` event
+        per finished cell into :attr:`campaigns` and a terminal ``done``
+        (or ``error``) event, so ``GET /v1/stream/{campaign_id}`` can
+        follow it live.
 
         With a checkpoint dir the submission is **idempotent**: the
-        campaign id is content-addressed from the scenario fingerprint
-        and the execution mode, the campaign intent is persisted in a
-        write-ahead manifest before any cell runs, and re-submitting the
-        identical document attaches to the running campaign, returns the
-        finished one, or *resumes* a crashed one — prefilling every
-        journaled cell and recomputing only the tail.
+        campaign id is content-addressed from the scenario fingerprint,
+        the campaign intent is persisted in a write-ahead manifest
+        before any cell runs, and re-submitting the identical document
+        attaches to the running campaign, returns the finished one, or
+        *resumes* a crashed one — prefilling every journaled cell and
+        recomputing only the tail.
         """
         from ..scenarios import load_pack, parse_scenario
 
@@ -181,15 +178,10 @@ class ScheduleService:
         pack = request.pop("pack", None)
         document = request.pop("scenario", None)
         jobs = request.pop("jobs", 1)
-        execution = request.pop("execution", "exact")
         if request:
             raise QueryError(f"unknown fields: {sorted(request)}")
         if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
             raise QueryError(f"jobs must be an integer >= 1, got {jobs!r}")
-        if execution not in EXECUTION_MODES:
-            raise QueryError(
-                f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
-            )
         if (pack is None) == (document is None):
             raise QueryError("give exactly one of 'pack' or 'scenario'")
         if pack is not None:
@@ -206,28 +198,26 @@ class ScheduleService:
             "scenario": scenario.name,
             "fingerprint": fingerprint,
             "cells": cells,
-            "execution": execution,
         }
         payload = {
             "ok": True,
             "scenario": scenario.name,
             "fingerprint": fingerprint,
             "cells": cells,
-            "execution": execution,
         }
         store = self.campaigns.store
         if store is None:
             campaign_id = self.campaigns.create(meta)
             with self._campaign_lock:
                 self._active_campaigns.add(campaign_id)
-            self._launch_campaign(scenario, jobs, execution, campaign_id)
+            self._launch_campaign(scenario, jobs, campaign_id)
             payload.update(
                 campaign_id=campaign_id,
                 stream=f"/v1/stream/{campaign_id}",
                 state="running",
             )
             return payload
-        campaign_id = campaign_key(fingerprint, execution)
+        campaign_id = campaign_key(fingerprint)
         payload.update(
             campaign_id=campaign_id, stream=f"/v1/stream/{campaign_id}"
         )
@@ -246,31 +236,18 @@ class ScheduleService:
                 # Running here: attach, never start a second runner.
                 payload.update(state="running", attached=True)
                 return payload
-            if not store.acquire_lease(campaign_id):
-                # Running on a sibling replica over the same checkpoint
-                # dir: two writers on one event log would interleave
-                # conflicting seq numbers, so attach instead — the
-                # sibling's events are durable and readable from here.
-                payload.update(state="running", attached=True)
-                return payload
-            # Adoption: we now own whatever the previous owner durably
-            # wrote.  Truncate any crash-torn tail *before* we ever
-            # append (appending after a corrupt line would strand every
-            # later event beyond the readable prefix) and fold the
-            # durable tail into our possibly-stale fast copy so new seq
-            # numbers continue the on-disk log, not our replay of it.
-            store.repair_log(campaign_id)
-            self.campaigns.refresh(campaign_id)
-            try:
-                snapshot = self.campaigns.snapshot(campaign_id)
-            except KeyError:
-                snapshot = None
-            if snapshot is not None and snapshot["state"] in TERMINAL_KINDS:
-                # The previous owner had in fact finished it.
-                store.release_lease(campaign_id)
-                payload.update(
-                    state=snapshot["state"], events=snapshot["events"]
-                )
+            owned, snapshot = self._adopt(campaign_id)
+            if not owned:
+                if snapshot is None:
+                    # Running on a sibling replica over the same
+                    # checkpoint dir: attach — the sibling's events are
+                    # durable and readable from here.
+                    payload.update(state="running", attached=True)
+                else:
+                    # The previous owner had in fact finished it.
+                    payload.update(
+                        state=snapshot["state"], events=snapshot["events"]
+                    )
                 return payload
             resumed = snapshot is not None
             # Write-ahead: intent is durable before the campaign exists
@@ -283,20 +260,49 @@ class ScheduleService:
                     "scenario_document": scenario.canonical_document(),
                     "fingerprint": fingerprint,
                     "jobs": jobs,
-                    "execution": execution,
                     "created_s": time.time(),
                 },
             )
             if snapshot is None:
                 self.campaigns.create(meta, campaign_id=campaign_id)
             self._active_campaigns.add(campaign_id)
-        self._launch_campaign(scenario, jobs, execution, campaign_id)
+        self._launch_campaign(scenario, jobs, campaign_id)
         payload.update(state="running", resumed=resumed)
         return payload
 
-    def _launch_campaign(
-        self, scenario: Any, jobs: int, execution: str, campaign_id: str
-    ) -> None:
+    def _adopt(self, campaign_id: str) -> Tuple[bool, Optional[Dict[str, Any]]]:
+        """Take over *campaign_id*'s durable state under its lease.
+
+        Returns ``(owned, snapshot)``.  ``owned`` is false when a live
+        sibling replica holds the lease (two writers on one event log
+        would interleave conflicting seq numbers; *snapshot* is then
+        ``None``) or when the durable log turns out to be finished (the
+        lease is handed straight back; *snapshot* shows the terminal
+        state).  Otherwise the caller holds the lease and *snapshot* is
+        the campaign's current state, ``None`` if it has no events.
+
+        Adoption repairs any crash-torn tail *before* anyone appends
+        (appending after a corrupt line would strand every later event
+        beyond the readable prefix) and folds the durable tail into the
+        hub's possibly-stale copy, so new seq numbers continue the
+        on-disk log and a terminal event written after the hub's
+        replay is seen.  The caller holds :attr:`_campaign_lock`.
+        """
+        store = self.campaigns.store
+        if not store.acquire_lease(campaign_id):
+            return False, None
+        store.repair_log(campaign_id)
+        self.campaigns.refresh(campaign_id)
+        try:
+            snapshot = self.campaigns.snapshot(campaign_id)
+        except KeyError:
+            snapshot = None
+        if snapshot is not None and snapshot["state"] in TERMINAL_KINDS:
+            store.release_lease(campaign_id)
+            return False, snapshot
+        return True, snapshot
+
+    def _launch_campaign(self, scenario: Any, jobs: int, campaign_id: str) -> None:
         """Run one campaign on a daemon thread, streaming into the hub."""
         from ..scenarios.runner import run_scenario
 
@@ -309,7 +315,6 @@ class ScheduleService:
                 report = run_scenario(
                     scenario,
                     jobs=jobs,
-                    execution=execution,
                     checkpoint=checkpoint,
                     progress=lambda event: hub.publish(campaign_id, "cell", event),
                 )
@@ -368,36 +373,21 @@ class ScheduleService:
                     or campaign_id in self._active_campaigns
                 ):
                     continue
-                if not store.acquire_lease(campaign_id):
-                    # Not an orphan: a live sibling replica owns this
-                    # campaign and is (still) running it.  Adopting it
-                    # here would put two writers on one event log.
+                # Not an orphan if a live sibling replica owns it, or if
+                # the durable tail holds the terminal event our startup
+                # replay predated.
+                owned, snapshot = self._adopt(campaign_id)
+                if not owned:
                     continue
-                # Same adoption step as submit_scenario: repair the torn
-                # tail before appending, re-sync the fast copy, and
-                # re-check — the durable tail may contain the terminal
-                # event our startup replay predated.
-                store.repair_log(campaign_id)
-                self.campaigns.refresh(campaign_id)
-                try:
-                    snapshot = self.campaigns.snapshot(campaign_id)
-                except KeyError:
-                    snapshot = None
-                if (
-                    snapshot is None
-                    or snapshot["state"] in TERMINAL_KINDS
-                ):
+                if snapshot is None:
                     store.release_lease(campaign_id)
                     continue
                 document = manifest.get("scenario_document")
                 jobs = manifest.get("jobs", 1)
-                execution = manifest.get("execution", "exact")
                 try:
                     scenario = parse_scenario(document)
                     if not isinstance(jobs, int) or isinstance(jobs, bool):
                         raise ConfigurationError(f"bad jobs {jobs!r}")
-                    if execution not in EXECUTION_MODES:
-                        raise ConfigurationError(f"bad execution {execution!r}")
                 except Exception as exc:
                     # An unresumable manifest must not strand subscribers
                     # on a forever-running stream: close it loudly (while
@@ -412,7 +402,7 @@ class ScheduleService:
                     store.release_lease(campaign_id)
                     continue
                 self._active_campaigns.add(campaign_id)
-            self._launch_campaign(scenario, jobs, execution, campaign_id)
+            self._launch_campaign(scenario, jobs, campaign_id)
             self.obs.count("stream.campaigns_resumed")
             resumed.append(campaign_id)
         return resumed

@@ -451,7 +451,7 @@ class CampaignHub:
         for campaign in doomed.values():
             self._campaigns.pop(campaign.id, None)
             hint: Dict[str, Any] = {"campaign_id": campaign.id}
-            for key in ("scenario", "fingerprint", "execution"):
+            for key in ("scenario", "fingerprint"):
                 if key in campaign.meta:
                     hint[key] = campaign.meta[key]
             hint["resume"] = "POST /v1/scenario re-creates this campaign"

@@ -6,10 +6,8 @@ owns the event loop and job lifecycle; :mod:`~repro.sim.power_accounting`,
 :mod:`~repro.sim.recording` are its explicit components.
 """
 
-from .batchgen import HAVE_NUMPY, ReleaseTable
 from .engine import Simulator, simulate
 from .events import KEEP, NO_CHANGE, Decision, SchedEvent, SleepRequest
-from .fastpath import FLOAT_ATOL, FLOAT_RTOL, simulate_fast
 from .metrics import (
     DeadlineMiss,
     EnergyBreakdown,
@@ -24,7 +22,6 @@ from .recording import (
     NullRecorder,
     Recorder,
     TraceBackedRecorder,
-    digest_metrics,
 )
 from .sleep_control import SleepController
 from .speed_control import SpeedController
@@ -35,12 +32,6 @@ from .validate import Violation, assert_valid, validate_trace
 __all__ = [
     "Simulator",
     "simulate",
-    "simulate_fast",
-    "FLOAT_RTOL",
-    "FLOAT_ATOL",
-    "ReleaseTable",
-    "HAVE_NUMPY",
-    "digest_metrics",
     "PowerAccountant",
     "SpeedController",
     "SleepController",

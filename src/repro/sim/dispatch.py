@@ -11,7 +11,7 @@ through :func:`earliest_deadline_dispatch`.
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Optional
+from typing import Optional
 
 from .events import Decision, SchedEvent
 from .queues import RunQueueKey, priority_key
@@ -33,13 +33,8 @@ class Scheduler(abc.ABC):
       tie-breaking keys);
     * :attr:`tick_interval` — optional periodic ``TICK`` scheduling
       points, for interval/polling policies;
-    * :attr:`fastforward_safe` — whether the hyperperiod fast-forward
-      may skip cycles under this policy;
     * :meth:`setup` — one-time pre-run hook (default: no-op);
-    * :meth:`schedule` — the scheduling-point handler (mandatory);
-    * :meth:`fastforward_signature` / :meth:`fast_forward` — the
-      steady-state detector's view of (and translation of) any
-      policy-internal state.
+    * :meth:`schedule` — the scheduling-point handler (mandatory).
     """
 
     #: Human-readable policy name for reports.
@@ -50,11 +45,6 @@ class Scheduler(abc.ABC):
     requires_priorities: bool = True
     #: Period (µs) of engine-generated ``TICK`` events; ``None`` = no ticks.
     tick_interval: Optional[float] = None
-    #: Whether the hyperperiod fast-forward may skip cycles under this
-    #: policy.  ``True`` is correct for policies whose observable state is
-    #: fully covered by :meth:`fastforward_signature`; a policy that
-    #: cannot express its state as a comparable token must opt out.
-    fastforward_safe: bool = True
 
     def setup(self, kernel) -> None:
         """Called once before the simulation starts (optional hook)."""
@@ -62,27 +52,6 @@ class Scheduler(abc.ABC):
     @abc.abstractmethod
     def schedule(self, kernel, event: SchedEvent) -> Decision:
         """Answer one scheduling point."""
-
-    def fastforward_signature(self, now: float) -> object:
-        """Comparable token of policy-internal state at time *now*.
-
-        The steady-state detector captures this at consecutive
-        hyperperiod crossings and only fast-forwards when the tokens are
-        equal, so any state that influences future decisions must appear
-        here expressed *relative* to *now* (absolute timestamps never
-        repeat across cycles).  The default ``None`` is a claim of
-        statelessness: decisions depend only on kernel state the
-        detector already fingerprints.
-        """
-        return None
-
-    def fast_forward(self, dt: float, index_shift: Mapping[str, int]) -> None:
-        """Translate policy-internal state after a *dt*-µs cycle skip.
-
-        Absolute timestamps must advance by *dt*; per-task job-identity
-        keys must advance by ``index_shift[task_name]``.  The default is
-        a no-op, matching the default stateless signature.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

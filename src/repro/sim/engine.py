@@ -272,10 +272,6 @@ class Simulator:
 
         # -- engine-private state ---------------------------------------------
         self._mode = _Mode.IDLE
-        # Hyperperiod fast-forward hook (installed by simulate_fast);
-        # checked at the top of each loop iteration once time passes its
-        # next hyperperiod-grid crossing.  None on the exact path.
-        self._ff_hook = None
         # move_due_releases memo: the call is idempotent within one
         # scheduling point, so repeat calls at the same instant with no
         # intervening delay-queue pushes can return immediately.
@@ -416,16 +412,7 @@ class Simulator:
         # self-times sum to the loop's wall time (profile's invariant).
         live = False
         phase = self._obs_phase
-        ff = self._ff_hook
         while self.now < cutoff:
-            if ff is not None and self.now >= ff.next_at:
-                # Loop-top instants are post-handle states: every due
-                # boundary at self.now has been resolved, so this is a
-                # stable point to fingerprint (and jump from).
-                if ff.boundary(self):
-                    ff = None
-                if self.now >= cutoff:
-                    break
             if obs_on:
                 k = self._obs_iter
                 if k:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..tasks.job import Job
 from ..tasks.task import Task
@@ -76,18 +76,6 @@ class RunQueue:
     def jobs(self) -> List[Job]:
         """All queued jobs in key order (for traces and tests)."""
         return [job for _, _, job in sorted(self._heap)]
-
-    def rebuild(self) -> None:
-        """Recompute every stored key from current job state.
-
-        The hyperperiod fast-forward shifts job fields (release times,
-        deadlines) in place, which can stale deadline-ordered keys; a
-        rebuild re-keys every entry while keeping the insertion-counter
-        tie-break intact.
-        """
-        heap = [(self._key(job), counter, job) for _, counter, job in self._heap]
-        heapq.heapify(heap)
-        self._heap = heap
 
     def __iter__(self) -> Iterator[Job]:
         return iter(self.jobs())
@@ -166,26 +154,6 @@ class DelayQueue:
             _, _, _, task, job_index, nominal = heapq.heappop(self._heap)
             due.append((task, nominal, job_index))
         return due
-
-    def shift(self, dt: float, index_shift: Mapping[str, int]) -> None:
-        """Translate every queued release *dt* µs into the future.
-
-        Applied by the hyperperiod fast-forward after skipping whole
-        cycles: fire and nominal times move by *dt* and each task's job
-        index advances by its per-task shift.  A uniform time shift
-        preserves the heap order, so no re-heapify is needed.
-        """
-        self._heap = [
-            (
-                release_time + dt,
-                tiebreak,
-                counter,
-                task,
-                job_index + index_shift.get(task.name, 0),
-                nominal + dt,
-            )
-            for release_time, tiebreak, counter, task, job_index, nominal in self._heap
-        ]
 
     def entries(self) -> List[Tuple[float, str]]:
         """``(release_time, task name)`` pairs in due order, for inspection."""

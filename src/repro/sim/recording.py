@@ -164,40 +164,3 @@ def digest_result(result: "SimulationResult") -> Dict[str, object]:
         "sleep_entries": result.sleep_entries,
     }
 
-
-def digest_metrics(result: "SimulationResult") -> Dict[str, object]:
-    """Canonical, bit-exact digest of an *untraced* result's aggregates.
-
-    The no-trace counterpart of :func:`digest_result`, pinning every
-    aggregate a campaign cell reports: energy buckets, speed residency,
-    all scalar counters, and per-task statistics — floats as ``repr``
-    strings, so two digests are equal iff the aggregates are
-    bit-identical.  This is what the fast-path differential suite
-    compares between the exact loop and the hyperperiod fast-forward.
-    """
-    task_stats = {}
-    for name in sorted(result.task_stats):
-        stats = result.task_stats[name]
-        task_stats[name] = {
-            "jobs_released": stats.jobs_released,
-            "jobs_completed": stats.jobs_completed,
-            "deadline_misses": stats.deadline_misses,
-            "preemptions": stats.preemptions,
-            "worst_response": repr(stats.worst_response),
-            "total_response": repr(stats.total_response),
-        }
-    return {
-        "energy": {k: repr(v) for k, v in result.energy.as_dict().items()},
-        "energy_total": repr(result.energy.total),
-        "speed_residency": {
-            repr(speed): repr(residency)
-            for speed, residency in sorted(result.speed_residency.items())
-        },
-        "jobs_completed": result.jobs_completed,
-        "deadline_misses": len(result.deadline_misses),
-        "context_switches": result.context_switches,
-        "preemptions": result.preemptions,
-        "speed_changes": result.speed_changes,
-        "sleep_entries": result.sleep_entries,
-        "task_stats": task_stats,
-    }

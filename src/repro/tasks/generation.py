@@ -32,14 +32,7 @@ from .task import Task, TaskSet
 
 
 class ExecutionTimeModel(Protocol):
-    """Draws the actual demand of one job of *task*.
-
-    Models may additionally expose a ``deterministic: bool`` class
-    attribute: ``True`` declares that :meth:`sample` never consults the
-    RNG (same task -> same demand, always), which makes the model
-    eligible for the hyperperiod fast-forward in
-    :mod:`repro.sim.fastpath`.  Absent means stochastic.
-    """
+    """Draws the actual demand of one job of *task*."""
 
     def sample(self, task: Task, rng: random.Random) -> float:
         """Return a demand in ``[task.bcet, task.wcet]`` (full-speed µs)."""
@@ -48,9 +41,6 @@ class ExecutionTimeModel(Protocol):
 
 class WcetModel:
     """Every job takes exactly its WCET (Figure 2(a) of the paper)."""
-
-    #: Never touches the RNG — fast-forward eligible.
-    deterministic = True
 
     def sample(self, task: Task, rng: random.Random) -> float:
         return task.wcet
@@ -61,9 +51,6 @@ class WcetModel:
 
 class BcetModel:
     """Every job takes exactly its BCET — an optimistic bound."""
-
-    #: Never touches the RNG — fast-forward eligible.
-    deterministic = True
 
     def sample(self, task: Task, rng: random.Random) -> float:
         return task.bcet
@@ -78,9 +65,6 @@ class GaussianModel:
     With ``WCET = m + 3*sigma`` about 99.7 % of draws land inside
     ``[BCET, WCET]`` before clamping, as footnote 5 notes.
     """
-
-    #: Consumes RNG state per job — hyperperiods never repeat exactly.
-    deterministic = False
 
     def sample(self, task: Task, rng: random.Random) -> float:
         mean = (task.bcet + task.wcet) / 2.0
@@ -97,9 +81,6 @@ class GaussianModel:
 class UniformModel:
     """Demand uniform over ``[BCET, WCET]``."""
 
-    #: Consumes RNG state per job — hyperperiods never repeat exactly.
-    deterministic = False
-
     def sample(self, task: Task, rng: random.Random) -> float:
         return rng.uniform(task.bcet, task.wcet)
 
@@ -113,9 +94,6 @@ class BimodalModel:
     Models control applications with a cheap common path and an expensive
     rare path; exercises LPFPS's slack reclamation at its extremes.
     """
-
-    #: Consumes RNG state per job — hyperperiods never repeat exactly.
-    deterministic = False
 
     def __init__(self, p_short: float = 0.8, spread: float = 0.05):
         if not 0 <= p_short <= 1:
@@ -156,9 +134,6 @@ class MarkovModel:
     spread:
         Relative width of the uniform band around each state's demand.
     """
-
-    #: Consumes RNG state per job (and carries hidden per-task state).
-    deterministic = False
 
     def __init__(
         self,

@@ -8,6 +8,7 @@ checkpoint=dir)`` and the experiment drivers wired on top of it.
 """
 
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.experiments.checkpoint import (
     CheckpointJournal,
     canonical_spec_payload,
     gc_journal,
+    scrub_journal,
     spec_fingerprint,
 )
 from repro.experiments.runner import RunSpec, run_many
@@ -60,6 +62,23 @@ class TestFingerprint:
         assert spec_fingerprint(_spec(seed=2)) != base
         assert spec_fingerprint(_spec(scheduler="fps")) != base
         assert spec_fingerprint(_spec(duration=4_800.0)) != base
+
+    def test_on_disk_identities_are_pinned(self):
+        # Journals and campaign ids written before the kernel had a
+        # single path must stay valid: both hashes keep the constant
+        # ``"execution": "exact"``, so these values never move.
+        from repro.service.durability import campaign_key
+
+        spec = RunSpec(
+            get_workload("example").taskset,
+            "lpfps",
+            seed=1,
+            execution_model=GaussianModel(),
+        )
+        assert spec_fingerprint(spec) == (
+            "a3fec241cc4e76f292700ae8d53120c5956ee594572747d93cebff4598e6cd4a"
+        )
+        assert campaign_key("f" * 64) == "c6f5ae9b34c64c673"
 
     def test_callable_scheduler_is_opaque(self):
         spec = _spec()
@@ -365,6 +384,110 @@ class TestJournalGc:
         from repro.cli import main
 
         assert main(["checkpoint", "gc", str(tmp_path / "nope")]) == 1
+
+
+class TestMaintenanceLock:
+    """GC and repair never replace a journal under a live appender."""
+
+    def test_record_after_refused_gc_is_loadable(self, tmp_path):
+        from repro.errors import ConfigurationError
+
+        journal = CheckpointJournal(tmp_path)
+        journal.record("a", 1)
+        journal.record("a", 2)
+        with pytest.raises(ConfigurationError, match="running campaign"):
+            gc_journal(tmp_path)
+        assert journal.record("b", 3)
+        assert CheckpointJournal(tmp_path).load() == {"a": 2, "b": 3}
+        journal.close()
+        assert gc_journal(tmp_path).superseded == 1
+        assert CheckpointJournal(tmp_path).load() == {"a": 2, "b": 3}
+
+    def test_repair_is_refused_while_appending(self, tmp_path):
+        from repro.errors import ConfigurationError
+
+        with CheckpointJournal(tmp_path) as journal:
+            journal.record("a", 1)
+            with pytest.raises(ConfigurationError):
+                scrub_journal(tmp_path, repair=True)
+            assert scrub_journal(tmp_path).clean  # verify-only never locks
+            assert gc_journal(tmp_path, dry_run=True).kept == 1
+        assert scrub_journal(tmp_path, repair=True).clean
+
+    def test_cli_maintenance_exits_1_while_appending(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with CheckpointJournal(tmp_path) as journal:
+            journal.record("a", 1)
+            assert main(["checkpoint", "gc", str(tmp_path)]) == 1
+            assert "running campaign" in capsys.readouterr().err
+            assert main(
+                ["cache", "verify", "--checkpoint", str(tmp_path), "--repair"]
+            ) == 1
+            assert "running campaign" in capsys.readouterr().err
+        assert main(["checkpoint", "gc", str(tmp_path)]) == 0
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="permission bits do not bind the superuser",
+    )
+    def test_cli_repair_of_clean_journal_in_read_only_dir(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with CheckpointJournal(tmp_path) as journal:
+            journal.record("a", 1)
+        (tmp_path / "journal.lock").unlink()
+        tmp_path.chmod(0o555)
+        try:
+            assert main(
+                ["cache", "verify", "--checkpoint", str(tmp_path), "--repair"]
+            ) == 0
+        finally:
+            tmp_path.chmod(0o755)
+
+    def test_uncreatable_lock_file(self, tmp_path, monkeypatch, capsys):
+        # What a read-only or foreign-owned directory does to the
+        # sidecar open, independent of the uid running the suite.
+        from repro.cli import main
+        from repro.experiments import checkpoint
+
+        with CheckpointJournal(tmp_path) as journal:
+            journal.record("a", 1)
+        real_open = os.open
+
+        def refuse_lock(path, flags, *args):
+            if path.endswith("journal.lock"):
+                raise PermissionError(13, "Permission denied")
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(checkpoint.os, "open", refuse_lock)
+        repair = ["cache", "verify", "--checkpoint", str(tmp_path), "--repair"]
+        # Sidecar present but unopenable: an appender may hold it.
+        assert main(repair) == 1
+        assert "Permission denied" in capsys.readouterr().err
+        # No sidecar and none creatable: no appender can exist.
+        (tmp_path / "journal.lock").unlink()
+        assert main(repair) == 0
+        assert gc_journal(tmp_path).kept == 1
+
+    def test_forked_children_do_not_pin_the_lock(self, tmp_path):
+        # A pool worker forked while the journal is open inherits the
+        # lock's descriptor and may outlive the campaign in the warm pool.
+        import multiprocessing
+        import time
+
+        journal = CheckpointJournal(tmp_path)
+        journal.record("a", 1)
+        child = multiprocessing.get_context("fork").Process(
+            target=time.sleep, args=(60,)
+        )
+        child.start()
+        try:
+            journal.close()
+            assert gc_journal(tmp_path).kept == 1
+        finally:
+            child.terminate()
+            child.join()
 
 
 class TestCliWiring:

@@ -14,11 +14,10 @@ from repro.scenarios import load_pack
 from repro.scenarios.runner import run_scenario, scenario_specs
 
 
-def _run(scenario, tmp_path, **kwargs):
+def _run(scenario, tmp_path):
     events = []
     report = run_scenario(
-        scenario, jobs=1, progress=events.append,
-        checkpoint=tmp_path, **kwargs
+        scenario, jobs=1, progress=events.append, checkpoint=tmp_path
     )
     return report, events
 
@@ -32,23 +31,10 @@ class TestContentAddressableCells:
 
         for name in available_packs():
             scenario = load_pack(name)
-            for execution in ("exact", "fast"):
-                for spec in scenario_specs(scenario, execution=execution):
-                    assert canonical_spec_payload(spec) is not None, (
-                        f"{name}: cell not content-addressable"
-                    )
-
-    def test_execution_mode_does_not_alias(self):
-        scenario = load_pack("weakly_hard")
-        exact = {
-            canonical_spec_payload(s)["execution"]
-            for s in scenario_specs(scenario, execution="exact")
-        }
-        fast = {
-            canonical_spec_payload(s)["execution"]
-            for s in scenario_specs(scenario, execution="fast")
-        }
-        assert exact == {"exact"} and fast == {"fast"}
+            for spec in scenario_specs(scenario):
+                assert canonical_spec_payload(spec) is not None, (
+                    f"{name}: cell not content-addressable"
+                )
 
 
 class TestCheckpointPrefill:
@@ -78,12 +64,3 @@ class TestCheckpointPrefill:
         states = [e.get("checkpoint") for e in events]
         assert states.count("hit") == len(lines) - 1
         assert states.count("stored") == 1
-
-    def test_exact_and_fast_never_share_journal_entries(self, tmp_path):
-        scenario = load_pack("weakly_hard")
-        _run(scenario, tmp_path, execution="exact")
-        _, events = _run(scenario, tmp_path, execution="fast")
-        # A fast campaign over an exact journal must recompute: serving
-        # an exact result to a fast campaign (or vice versa) would mix
-        # kernel paths within one campaign's provenance.
-        assert all(e.get("checkpoint") == "stored" for e in events)

@@ -64,24 +64,6 @@ class TestContractSurface:
         scheduler = make_scheduler(name)
         assert not getattr(scheduler.schedule, "__isabstractmethod__", False)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_fastforward_safe_is_bool(self, name):
-        scheduler = make_scheduler(name)
-        assert isinstance(scheduler.fastforward_safe, bool)
-
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_fastforward_signature_accepts_now(self, name):
-        # The default returns None (a stateless claim); stateful policies
-        # return a comparable snapshot.  Either way the call must work at
-        # an arbitrary instant on a fresh policy.
-        scheduler = make_scheduler(name)
-        scheduler.fastforward_signature(0.0)
-
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_fast_forward_accepts_shift(self, name):
-        scheduler = make_scheduler(name)
-        scheduler.fast_forward(7200.0, {})
-
 
 class TestBaseClass:
     def test_base_is_abstract(self):
@@ -94,7 +76,6 @@ class TestBaseClass:
     def test_base_defaults(self):
         assert Scheduler.requires_priorities is True
         assert Scheduler.tick_interval is None
-        assert Scheduler.fastforward_safe is True
 
     def test_setup_is_invoked_before_first_decision(self):
         calls = []

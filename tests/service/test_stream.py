@@ -227,6 +227,15 @@ class TestHttpStreaming:
         assert status == 400
         assert payload["ok"] is False
 
+    def test_execution_is_an_unknown_field(self, client):
+        # The exact event loop is the only kernel path; a body still
+        # asking for another one is rejected, never silently ignored.
+        status, payload = client.submit_scenario(
+            {"pack": "cnc", "execution": "fast"}
+        )
+        assert status == 400
+        assert "unknown fields: ['execution']" in payload["error"]
+
     def test_metrics_schema_unchanged(self, client):
         status, payload = client.metrics()
         assert status == 200

@@ -31,9 +31,6 @@ class TestCampaignKey:
         assert campaign_key("f" * 64) == campaign_key("f" * 64)
         assert campaign_key("f" * 64) != campaign_key("e" * 64)
 
-    def test_execution_mode_changes_the_key(self):
-        assert campaign_key("f" * 64, "exact") != campaign_key("f" * 64, "fast")
-
     def test_shape_is_c_plus_16_hex(self):
         key = campaign_key("f" * 64)
         assert key.startswith("c") and len(key) == 17
@@ -175,7 +172,7 @@ class TestCrossProcessLeases:
         from repro.scenarios import load_pack
 
         scenario = load_pack("weakly_hard")
-        cid = campaign_key(scenario.fingerprint(), "exact")
+        cid = campaign_key(scenario.fingerprint())
         sibling = CampaignStore(tmp_path)
         assert sibling.acquire_lease(cid)
 
@@ -204,7 +201,7 @@ class TestCrossProcessLeases:
         from repro.scenarios import load_pack
 
         scenario = load_pack("weakly_hard")
-        cid = campaign_key(scenario.fingerprint(), "exact")
+        cid = campaign_key(scenario.fingerprint())
         seed = CampaignStore(tmp_path)
         seed.write_manifest(
             cid,
@@ -526,9 +523,7 @@ def durable_run(tmp_path_factory):
 class TestDurableHttp:
     def test_campaign_id_is_content_addressed(self, durable_run):
         first = durable_run["first"]
-        assert first["campaign_id"] == campaign_key(
-            first["fingerprint"], "exact"
-        )
+        assert first["campaign_id"] == campaign_key(first["fingerprint"])
 
     def test_stream_runs_to_done(self, durable_run):
         events = durable_run["events"]

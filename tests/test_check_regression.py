@@ -29,10 +29,9 @@ OPS = 1_000_000.0
 CAMPAIGN = 20_000_000.0
 SINGLE = 12_000_000.0
 HIT_P50_MS = 0.8
-FASTPATH = 150.0
 
 
-def kernel_bench(clock_scale=1.0, fastpath=FASTPATH):
+def kernel_bench(clock_scale=1.0):
     return {
         "benchmark": "bench_kernel",
         "schema": "bench-metrics/v1",
@@ -55,16 +54,6 @@ def kernel_bench(clock_scale=1.0, fastpath=FASTPATH):
                         "value": clock_scale,
                         "units": "ratio",
                     },
-                ],
-            },
-            "test_fastpath_campaign": {
-                "wall_time_s": 1.0,
-                "metrics": [
-                    {
-                        "name": "fastpath_campaign_speedup",
-                        "value": fastpath,
-                        "units": "x",
-                    }
                 ],
             },
         },
@@ -93,14 +82,12 @@ def service_bench():
 KERNEL_BASELINE = {"calibration_ops_per_s": OPS}
 
 
-def fresh(ops=OPS, campaign=CAMPAIGN, single=SINGLE, hit=HIT_P50_MS,
-          fastpath=FASTPATH):
+def fresh(ops=OPS, campaign=CAMPAIGN, single=SINGLE, hit=HIT_P50_MS):
     return {
         "ops_per_s": ops,
         "campaign_per_wall_s": campaign,
         "single_cell_per_wall_s": single,
         "hit_p50_ms": hit,
-        "fastpath_speedup": fastpath,
     }
 
 
@@ -150,16 +137,9 @@ class TestBaselineValue:
 class TestIdentity:
     def test_unchanged_numbers_pass(self):
         checks = run(fresh())
-        assert len(checks) == 4
+        assert len(checks) == 3
         assert all(check.ok for check in checks)
         assert all(check.regression == pytest.approx(0.0) for check in checks)
-
-    def test_no_fastpath_probe_means_no_fastpath_check(self):
-        numbers = fresh()
-        numbers.pop("fastpath_speedup")
-        checks = run(numbers)
-        assert len(checks) == 3
-        assert not any(c.name == "kernel.fastpath_speedup" for c in checks)
 
     def test_small_jitter_within_tolerance_passes(self):
         checks = run(fresh(campaign=CAMPAIGN * 0.9, hit=HIT_P50_MS * 1.2))
@@ -185,26 +165,6 @@ class TestSyntheticSlowdown:
         failed = checks["service.warm_hit_p50_ms"]
         assert not failed.ok
         assert failed.regression == pytest.approx(1.0)
-
-    def test_fastpath_collapse_fails(self):
-        # Losing fast-forwarding collapses the speedup toward 1x — far
-        # beyond the wide tolerance.  The gate must trip.
-        checks = {c.name: c for c in run(fresh(fastpath=1.2))}
-        failed = checks["kernel.fastpath_speedup"]
-        assert not failed.ok
-        assert failed.regression > 0.9
-        # The untouched checks still pass: the gate points at the culprit.
-        assert checks["kernel.campaign_throughput"].ok
-
-    def test_fastpath_load_jitter_passes(self):
-        # A 2x swing is load noise on a ms-scale wall, not rot.
-        checks = {c.name: c for c in run(fresh(fastpath=FASTPATH / 2))}
-        assert checks["kernel.fastpath_speedup"].ok
-
-    def test_fastpath_is_not_clock_rescaled(self):
-        # Self-normalized ratio: a faster probe must NOT move expected.
-        checks = {c.name: c for c in run(fresh(ops=OPS * 2, fastpath=FASTPATH))}
-        assert checks["kernel.fastpath_speedup"].expected == FASTPATH
 
     def test_just_beyond_tolerance_fails(self):
         checks = run(fresh(campaign=CAMPAIGN * 0.75))  # 25% > 20% budget
