@@ -45,9 +45,13 @@ def _scenario_document():
     return document
 
 
-def _serve(checkpoint_dir, cache_dir):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _serve(checkpoint_dir, cache_dir):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
@@ -57,7 +61,7 @@ def _serve(checkpoint_dir, cache_dir):
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
-        env=env,
+        env=_env(),
         text=True,
     )
     url = None
@@ -159,6 +163,18 @@ def test_kill_resume_reconnect(tmp_path, artifact, metrics_out):
         data = by_index[cell.index]
         assert data["average_power"] == cell.result.average_power
         assert data["deadline_misses"] == len(cell.result.deadline_misses)
+
+    # Every scrubber on a directory that was really SIGKILLed: repair
+    # whatever the crash left behind, then a verify-only pass is clean.
+    verify = [
+        sys.executable, "-m", "repro", "cache", "verify",
+        "--cache-dir", str(cache), "--checkpoint", str(checkpoint),
+    ]
+    for argv in (verify + ["--repair"], verify):
+        scrub = subprocess.run(
+            argv, env=_env(), capture_output=True, text=True, timeout=120.0
+        )
+        assert scrub.returncode == 0, scrub.stdout + scrub.stderr
 
     metrics_out("cells_total", TOTAL_CELLS)
     metrics_out("cells_streamed_at_kill", streamed_before_kill)

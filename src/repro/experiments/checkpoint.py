@@ -26,7 +26,8 @@ Maintenance (:func:`gc_journal`, ``scrub_journal(repair=True)``)
 rewrites the journal by atomic rename, which would strand an open
 appender on the replaced inode.  Appenders therefore hold a shared
 ``flock`` on a ``journal.lock`` sidecar while their handle is open, and
-maintenance takes it exclusively or refuses.
+maintenance takes it exclusively or refuses.  :mod:`repro.store`
+supplies the append, the rewrite and the lock.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 import pickle
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,12 +43,8 @@ from typing import (
     TYPE_CHECKING, Any, Dict, Iterable, Iterator, Optional, Set, Tuple, Union,
 )
 
-try:  # pragma: no cover - absent only on non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-
 from ..errors import ConfigurationError
+from ..store import FileLock, RecordLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner ← checkpoint)
     from .runner import RunSpec
@@ -259,10 +254,11 @@ class CheckpointJournal:
         {"v": 2, "fp": "<spec fingerprint>", "sha": "<sha256 of blob>",
          "blob": "<base64 pickled SimulationResult>"}
 
-    Crash consistency comes from the write discipline (serialise →
-    append → flush → fsync, in that order, one line per record) plus a
-    tolerant reader: a torn trailing line, a checksum mismatch, or an
-    unpicklable blob all degrade to recomputing that cell.
+    Crash consistency comes from the write discipline of
+    :class:`~repro.store.RecordLog` (serialise → append → flush → fsync,
+    in that order, one line per record) plus a tolerant reader: a torn
+    trailing line, a checksum mismatch, or an unpicklable blob all
+    degrade to recomputing that cell.
 
     From its first append until :meth:`close` the journal holds a shared
     lock on the ``journal.lock`` sidecar, so :func:`gc_journal` and a
@@ -272,8 +268,9 @@ class CheckpointJournal:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_NAME
-        self._handle = None
-        self._lock_fd: Optional[int] = None
+        self._log = RecordLog(
+            self.path, lock=FileLock(self.directory / JOURNAL_LOCK_NAME)
+        )
 
     # -- read ----------------------------------------------------------------
     def load(self, wanted: Optional[Iterable[str]] = None) -> Dict[str, Any]:
@@ -291,12 +288,12 @@ class CheckpointJournal:
         if needed is not None and not needed:
             return results
         try:
-            raw = self.path.read_bytes()
+            lines = self._log.lines()
         except OSError:
             return results
         # Newest first: the first intact record of a fingerprint is the
         # one that wins, and a restricted load stops once it has them all.
-        for line in reversed(raw.splitlines()):
+        for line in reversed(lines):
             decoded = _decode_record(line, needed)
             if decoded is None or decoded[0] in results:
                 continue
@@ -333,27 +330,9 @@ class CheckpointJournal:
             "sha": hashlib.sha256(payload).hexdigest(),
             "blob": base64.b64encode(payload).decode("ascii"),
         }
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         try:
-            if self._handle is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                # Lock before opening: a maintenance rewrite finishing
-                # first leaves the handle on the new inode, not the old.
-                if self._lock_fd is None:
-                    self._lock_fd = _lock_journal(self.directory, shared=True)
-                self._handle = open(self.path, "a+b")
-                # A crash mid-append can leave a torn tail with no
-                # newline; appending straight after it would glue this
-                # record onto the torn bytes and lose both.  Terminate
-                # the tail so it becomes its own (skipped) line.
-                self._handle.seek(0, os.SEEK_END)
-                if self._handle.tell() > 0:
-                    self._handle.seek(-1, os.SEEK_END)
-                    if self._handle.read(1) != b"\n":
-                        self._handle.write(b"\n")
-            self._handle.write(line.encode("utf-8"))
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._log.append(line.encode("utf-8"))
         except OSError:
             # A full or read-only disk demotes checkpointing to a no-op;
             # the campaign itself must keep running.
@@ -362,13 +341,7 @@ class CheckpointJournal:
 
     def close(self) -> None:
         """Close the append handle and release the lock; idempotent."""
-        try:
-            if self._handle is not None:
-                self._handle.close()
-        finally:
-            self._handle = None
-            _unlock_journal(self._lock_fd)
-            self._lock_fd = None
+        self._log.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self
@@ -377,70 +350,33 @@ class CheckpointJournal:
         self.close()
 
 
-def _lock_journal(directory: Path, shared: bool) -> Optional[int]:
-    """Descriptor holding the journal lock of *directory*.
+@contextmanager
+def _maintenance_lock(directory: Path) -> Iterator[None]:
+    """Hold the journal lock exclusively for one rewrite.
 
-    Shared locks (appenders) wait out a running maintenance pass; the
-    exclusive lock (maintenance) never waits and raises
-    :class:`~repro.errors.ConfigurationError` while a journal is open
-    for appending.  ``None`` where ``flock`` is unavailable, and for
-    maintenance in a directory where the sidecar neither exists nor can
-    be created (read-only media): no appender can hold it there either.
+    Raises :class:`~repro.errors.ConfigurationError` while a journal is
+    open for appending, or when the sidecar exists but cannot be opened.
+    A directory where the sidecar neither exists nor can be created
+    (read-only media) needs no lock: no appender can hold it there.
     """
-    if fcntl is None:  # pragma: no cover - non-POSIX
-        return None
-    lock_path = directory / JOURNAL_LOCK_NAME
+    lock = FileLock(directory / JOURNAL_LOCK_NAME)
     try:
-        # flock needs no write access; read-only opens also work on a
-        # sidecar created by another user.
-        fd = os.open(str(lock_path), os.O_RDONLY | os.O_CREAT, 0o644)
+        acquired = lock.acquire()
     except OSError as exc:
-        if shared:
-            raise
-        if not lock_path.exists():
-            return None
-        raise ConfigurationError(
-            f"cannot open checkpoint journal lock {lock_path}: {exc.strerror}"
-        ) from None
-    try:
-        if shared:
-            fcntl.flock(fd, fcntl.LOCK_SH)
-        else:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        os.close(fd)
+        if lock.path.exists():
+            raise ConfigurationError(
+                f"cannot open checkpoint journal lock {lock.path}: {exc.strerror}"
+            ) from None
+        acquired = True
+    if not acquired:
         raise ConfigurationError(
             f"checkpoint journal in {directory} is open by a running "
             "campaign; retry once it finishes"
-        ) from None
-    except BaseException:
-        os.close(fd)
-        raise
-    return fd
-
-
-def _unlock_journal(fd: Optional[int]) -> None:
-    """Release and close a descriptor from :func:`_lock_journal`.
-
-    The explicit ``LOCK_UN`` drops the lock even while forked pool
-    workers still hold inherited copies of the descriptor.
-    """
-    if fd is None:
-        return
-    try:
-        fcntl.flock(fd, fcntl.LOCK_UN)
-    finally:
-        os.close(fd)
-
-
-@contextmanager
-def _maintenance_lock(directory: Path) -> Iterator[None]:
-    """Hold the journal lock exclusively for one rewrite."""
-    fd = _lock_journal(directory, shared=False)
+        )
     try:
         yield
     finally:
-        _unlock_journal(fd)
+        lock.release()
 
 
 @dataclass(frozen=True)
@@ -483,8 +419,8 @@ def gc_journal(
 
     The journal is append-only by design, so overlapping campaigns and
     crash-retry loops leave superseded duplicates and the odd torn tail
-    behind; GC drops both and rewrites the file **atomically** (temp
-    file + fsync + ``os.replace``), preserving the order in which each
+    behind; GC drops both and rewrites the file **atomically**
+    (:func:`repro.store.atomic_write`), preserving the order in which each
     surviving fingerprint last appeared.  Results are content-addressed,
     so dropping an *earlier* duplicate can never change what
     :meth:`CheckpointJournal.load` returns — later records already won.
@@ -507,22 +443,20 @@ def gc_journal(
 
 def _gc_pass(directory: Path, dry_run: bool) -> JournalGcReport:
     """One read (and, unless *dry_run*, rewrite) for :func:`gc_journal`."""
-    path = directory / JOURNAL_NAME
+    log = RecordLog(directory / JOURNAL_NAME)
     try:
-        raw = path.read_bytes()
+        bytes_before = log.path.stat().st_size
+        lines = log.lines()
     except FileNotFoundError:
         return JournalGcReport(
-            path=path, dry_run=dry_run, lines_total=0, kept=0,
+            path=log.path, dry_run=dry_run, lines_total=0, kept=0,
             superseded=0, corrupt=0, bytes_before=0, bytes_after=0,
         )
-    lines_total = corrupt = superseded = 0
+    corrupt = superseded = 0
     #: fingerprint -> raw line; insertion order re-ordered to "last
     #: appearance" by delete-then-insert, matching load()'s later-wins.
     survivors: Dict[str, bytes] = {}
-    for line in raw.splitlines():
-        if not line.strip():
-            continue
-        lines_total += 1
+    for line in lines:
         decoded = _decode_record(line)
         if decoded is None:
             corrupt += 1
@@ -532,40 +466,19 @@ def _gc_pass(directory: Path, dry_run: bool) -> JournalGcReport:
             superseded += 1
             del survivors[fp]
         survivors[fp] = line
-    compacted = b"".join(line + b"\n" for line in survivors.values())
     report = JournalGcReport(
-        path=path,
+        path=log.path,
         dry_run=dry_run,
-        lines_total=lines_total,
+        lines_total=len(lines),
         kept=len(survivors),
         superseded=superseded,
         corrupt=corrupt,
-        bytes_before=len(raw),
-        bytes_after=len(compacted),
+        bytes_before=bytes_before,
+        bytes_after=sum(len(line) + 1 for line in survivors.values()),
     )
-    if dry_run:
-        return report
-    _atomic_rewrite(directory, path, compacted)
+    if not dry_run:
+        log.rewrite(survivors.values())
     return report
-
-
-def _atomic_rewrite(directory: Path, path: Path, content: bytes) -> None:
-    """Replace *path* with *content* via temp file + fsync + rename."""
-    fd, tmp = tempfile.mkstemp(
-        prefix=".journal.gc.", suffix=".tmp", dir=str(directory)
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(content)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass(frozen=True)
@@ -638,37 +551,30 @@ def _scrub_pass(directory: Path, repair: bool, obs: Any) -> JournalScrubReport:
     from ..obs.registry import DISABLED
 
     sink = obs if obs is not None else DISABLED
-    path = directory / JOURNAL_NAME
+    log = RecordLog(directory / JOURNAL_NAME)
     try:
-        raw = path.read_bytes()
-    except (FileNotFoundError, OSError):
-        return JournalScrubReport(path=path, repair=repair)
-    records = intact = corrupt = 0
+        lines = log.lines()
+    except OSError:
+        return JournalScrubReport(path=log.path, repair=repair)
     survivors = []
-    for line in raw.splitlines():
-        if not line.strip():
-            continue
-        records += 1
+    for line in lines:
         sink.count("cache.scrub_journal_records")
         if _decode_record(line) is None:
-            corrupt += 1
             sink.count("cache.scrub_journal_corrupt")
             continue
-        intact += 1
         sink.count("cache.scrub_journal_intact")
         survivors.append(line)
+    corrupt = len(lines) - len(survivors)
     dropped = 0
     if repair and corrupt:
-        _atomic_rewrite(
-            directory, path, b"".join(line + b"\n" for line in survivors)
-        )
+        log.rewrite(survivors)
         dropped = corrupt
         sink.count("cache.scrub_journal_dropped", corrupt)
     return JournalScrubReport(
-        path=path,
+        path=log.path,
         repair=repair,
-        records=records,
-        intact=intact,
+        records=len(lines),
+        intact=len(survivors),
         corrupt=corrupt,
         dropped=dropped,
     )

@@ -14,8 +14,9 @@ the tiers may be shared between processes and across service restarts.
   registry is injected, as the obs counter ``cache.mem_evictions`` so
   ``/v1/metrics`` surfaces silent memory-pressure churn.
 * The **disk tier** stores one JSON file per fingerprint, sharded by the
-  first two hex digits, written atomically (temp file + ``os.replace``)
-  so a crashed or concurrent writer can never leave a torn entry.  A
+  first two hex digits, written atomically
+  (:func:`repro.store.atomic_write`) so a crashed or concurrent writer
+  can never leave a torn entry.  A
   disk hit is promoted back into the memory tier.  Unreadable entries
   are treated as misses and removed — the cache degrades to recomputing,
   never to failing.
@@ -36,8 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -45,12 +44,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs.registry import DISABLED, Registry
+from ..store import QUARANTINE_DIR, atomic_write, quarantine
 
 #: Version of the on-disk entry envelope.
 ENVELOPE_VERSION = 1
-
-#: Directory (under the cache root) where the scrubber parks corrupt entries.
-QUARANTINE_DIR = "quarantine"
 
 
 def payload_checksum(payload: Dict[str, Any]) -> str:
@@ -199,28 +196,9 @@ class ResultCache:
         path = self._disk_path(key)
         if path is None:
             return
+        data = json.dumps(wrap_entry(key, payload), sort_keys=True)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{key[:8]}.", suffix=".tmp", dir=str(path.parent)
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(wrap_entry(key, payload), handle, sort_keys=True)
-                    # fsync *before* rename: os.replace promises readers
-                    # never see a torn entry, but only a flushed temp
-                    # file makes the promise hold across a crash — an
-                    # unsynced rename can leave the final name pointing
-                    # at zero-length or partial data after power loss.
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, data.encode("utf-8"))
         except OSError:
             # A read-only or full disk demotes the cache to memory-only.
             pass
@@ -300,22 +278,6 @@ def _classify_entry(path: Path) -> str:
     return verdict
 
 
-def _quarantine(root: Path, path: Path) -> bool:
-    """Move *path* under ``<root>/quarantine/``; True on success."""
-    pen = root / QUARANTINE_DIR
-    try:
-        pen.mkdir(parents=True, exist_ok=True)
-        target = pen / path.name
-        n = 0
-        while target.exists():
-            n += 1
-            target = pen / f"{path.name}.{n}"
-        os.replace(path, target)
-    except OSError:
-        return False
-    return True
-
-
 def scrub_cache(
     disk_dir: Union[str, Path],
     repair: bool = False,
@@ -357,7 +319,7 @@ def scrub_cache(
             report.corrupt += 1
             sink.count("cache.scrub_corrupt")
             report.problems.append({"path": str(path), "reason": verdict})
-            if repair and _quarantine(root, path):
+            if repair and quarantine(path, root / QUARANTINE_DIR):
                 report.quarantined += 1
                 sink.count("cache.scrub_quarantined")
     return report

@@ -14,7 +14,9 @@ one checkpoint directory::
             <id>.manifest.json            # write-ahead campaign intent
             <id>.events.jsonl             # the hub's ordered event log
 
-Three durability rules, mirroring the journal's:
+Three durability rules, mirroring the journal's (the atomic write,
+fsynced append and lease ``flock`` themselves live in
+:mod:`repro.store`):
 
 * **Write-ahead manifest** — the manifest (scenario fingerprint, full
   canonical document, grid size) is written atomically
@@ -49,17 +51,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
-
-try:  # pragma: no cover - absent only on non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
+from typing import Any, Dict, List, Optional, Union
 
 from ..obs.registry import DISABLED
+from ..store import QUARANTINE_DIR, FileLock, RecordLog, atomic_write, quarantine
 
 #: Version of the manifest document and the event record envelope.
 MANIFEST_VERSION = 1
@@ -99,22 +96,6 @@ def campaign_key(fingerprint: str) -> str:
     return "c" + hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _terminate_torn_tail(handle: Any) -> None:
-    """Newline-terminate an append handle whose file ends mid-line.
-
-    A crash mid-append can leave a torn tail with no newline; appending
-    straight after it would glue the next record onto the torn bytes and
-    lose both.  Terminating the tail turns the torn bytes into their own
-    (skipped, GC-able) line so every later append stays intact.
-    """
-    handle.seek(0, os.SEEK_END)
-    if handle.tell() == 0:
-        return
-    handle.seek(-1, os.SEEK_END)
-    if handle.read(1) != b"\n":
-        handle.write(b"\n")
-
-
 def _event_checksum(seq: int, kind: str, data: Dict[str, Any]) -> str:
     canon = json.dumps(
         {"data": data, "kind": kind, "seq": seq},
@@ -130,8 +111,8 @@ class CampaignStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.campaigns_dir = self.directory / CAMPAIGNS_DIR
-        self._handles: Dict[str, IO[bytes]] = {}
-        self._leases: Dict[str, IO[bytes]] = {}
+        self._logs: Dict[str, RecordLog] = {}
+        self._leases: Dict[str, FileLock] = {}
 
     # -- manifests -----------------------------------------------------------
     def manifest_path(self, campaign_id: str) -> Path:
@@ -157,29 +138,23 @@ class CampaignStore:
         """
         if campaign_id in self._leases:
             return True
+        lease = FileLock(self.lease_path(campaign_id))
         try:
             self.campaigns_dir.mkdir(parents=True, exist_ok=True)
-            handle = open(self.lease_path(campaign_id), "ab")
+            if not lease.acquire():
+                return False
         except OSError:
             return False
-        if fcntl is not None:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                handle.close()
-                return False
-        self._leases[campaign_id] = handle
+        self._leases[campaign_id] = lease
         return True
 
     def release_lease(self, campaign_id: str) -> None:
         """Give up ownership of one campaign; idempotent."""
-        handle = self._leases.pop(campaign_id, None)
-        if handle is None:
+        lease = self._leases.pop(campaign_id, None)
+        if lease is None:
             return
         try:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            handle.close()
+            lease.release()
         except OSError:
             pass
 
@@ -193,24 +168,9 @@ class CampaignStore:
         """Atomically persist campaign intent; False on an unwritable disk."""
         document = {"v": MANIFEST_VERSION, "campaign_id": campaign_id}
         document.update(manifest)
+        data = json.dumps(document, sort_keys=True).encode("utf-8")
         try:
-            self.campaigns_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{campaign_id}.", suffix=".tmp",
-                dir=str(self.campaigns_dir),
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle, sort_keys=True)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.manifest_path(campaign_id))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.manifest_path(campaign_id), data)
         except OSError:
             return False
         return True
@@ -263,17 +223,12 @@ class CampaignStore:
         durable-before-visible half of the reconnect contract.
         """
         record = event_record(event)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        log = self._logs.get(campaign_id)
+        if log is None:
+            log = self._logs[campaign_id] = RecordLog(self.events_path(campaign_id))
         try:
-            handle = self._handles.get(campaign_id)
-            if handle is None:
-                self.campaigns_dir.mkdir(parents=True, exist_ok=True)
-                handle = open(self.events_path(campaign_id), "a+b")
-                _terminate_torn_tail(handle)
-                self._handles[campaign_id] = handle
-            handle.write(line.encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
+            log.append(line.encode("utf-8"))
         except OSError:
             return False
         return True
@@ -287,18 +242,10 @@ class CampaignStore:
         recomputable from the cell journal and must not be trusted.
         """
         try:
-            raw = self.events_path(campaign_id).read_bytes()
-        except (FileNotFoundError, OSError):
+            lines = RecordLog(self.events_path(campaign_id)).lines()
+        except OSError:
             return []
-        events: List[Dict[str, Any]] = []
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            record = _intact_event(line)
-            if record is None or record["seq"] != len(events) + 1:
-                break
-            events.append(record)
-        return events
+        return _intact_prefix(lines)
 
     def repair_log(self, campaign_id: str) -> List[Dict[str, Any]]:
         """Truncate one event log to its intact gapless prefix.
@@ -309,54 +256,31 @@ class CampaignStore:
         left behind must go — appending after a corrupt line would put
         every later event beyond the readable prefix.  The caller must
         own the campaign's lease (or be single-process); the rewrite is
-        atomic and fsynced like the manifest writer's.
+        atomic (:meth:`repro.store.RecordLog.rewrite`).
         """
-        intact = self.load_events(campaign_id)
+        log = RecordLog(self.events_path(campaign_id))
         try:
-            raw = self.events_path(campaign_id).read_bytes()
-        except FileNotFoundError:
-            return intact
+            lines = log.lines()
         except OSError:
-            return intact
-        raw_lines = [line for line in raw.splitlines() if line.strip()]
-        if len(raw_lines) == len(intact):
+            return []
+        intact = _intact_prefix(lines)
+        if len(lines) == len(intact):
             return intact
         self.close(campaign_id)
-        content = b"".join(
-            json.dumps(
-                event_record(event), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8") + b"\n"
-            for event in intact
-        )
         try:
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{campaign_id}.", suffix=".tmp",
-                dir=str(self.campaigns_dir),
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(content)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.events_path(campaign_id))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            log.rewrite(lines[: len(intact)])
         except OSError:
             pass
         return intact
 
     def close(self, campaign_id: Optional[str] = None) -> None:
         """Close append handles (one campaign, or all); idempotent."""
-        ids = [campaign_id] if campaign_id is not None else list(self._handles)
+        ids = [campaign_id] if campaign_id is not None else list(self._logs)
         for cid in ids:
-            handle = self._handles.pop(cid, None)
-            if handle is not None:
+            log = self._logs.pop(cid, None)
+            if log is not None:
                 try:
-                    handle.close()
+                    log.close()
                 except OSError:
                     pass
 
@@ -366,9 +290,10 @@ class CampaignStore:
 
         Event logs are checked against the prefix rule; with
         ``repair=True`` each log is truncated (atomically rewritten) to
-        its intact prefix and corrupt manifests are quarantined by
-        rename (``.corrupt`` suffix), so a later reader can never
-        replay a broken record.  Rewrites are **lease-guarded**: a log
+        its intact prefix and corrupt manifests are moved under
+        ``campaigns/quarantine/`` (never overwriting an earlier
+        quarantined copy), so a later reader can never replay a broken
+        record.  Rewrites are **lease-guarded**: a log
         whose campaign is owned by a live sibling process is never
         rewritten from under its open append handle — the repair is
         skipped and recorded as a problem instead (the owner terminates
@@ -404,15 +329,12 @@ class CampaignStore:
                     {"path": str(path), "reason": "corrupt-manifest"}
                 )
                 if repair:
-                    try:
-                        os.replace(path, path.with_suffix(".corrupt"))
-                    except OSError:
-                        pass
+                    quarantine(path, self.campaigns_dir / QUARANTINE_DIR)
         for path in sorted(self.campaigns_dir.glob(f"*{_EVENTS_SUFFIX}")):
             campaign_id = path.name[: -len(_EVENTS_SUFFIX)]
             report["event_logs"] += 1
             try:
-                raw = path.read_bytes()
+                lines = RecordLog(path).lines()
             except OSError as exc:
                 report["problems"].append(
                     {
@@ -421,12 +343,11 @@ class CampaignStore:
                     }
                 )
                 continue
-            raw_lines = [line for line in raw.splitlines() if line.strip()]
-            intact = self.load_events(campaign_id)
-            report["events"] += len(raw_lines)
-            for _ in raw_lines:
+            intact = _intact_prefix(lines)
+            report["events"] += len(lines)
+            for _ in lines:
                 sink.count("cache.scrub_events")
-            corrupt = len(raw_lines) - len(intact)
+            corrupt = len(lines) - len(intact)
             if not corrupt:
                 continue
             report["events_corrupt"] += corrupt
@@ -448,11 +369,7 @@ class CampaignStore:
             try:
                 repaired = self.repair_log(campaign_id)
                 try:
-                    still = [
-                        line
-                        for line in path.read_bytes().splitlines()
-                        if line.strip()
-                    ]
+                    still = RecordLog(path).lines()
                 except OSError:
                     still = None
                 if still is not None and len(still) == len(repaired):
@@ -540,6 +457,17 @@ def event_record(event: Dict[str, Any]) -> Dict[str, Any]:
         "data": event["data"],
         "sha": _event_checksum(int(event["seq"]), event["kind"], event["data"]),
     }
+
+
+def _intact_prefix(lines: List[bytes]) -> List[Dict[str, Any]]:
+    """The longest gapless run of intact events at the start of *lines*."""
+    events: List[Dict[str, Any]] = []
+    for line in lines:
+        record = _intact_event(line)
+        if record is None or record["seq"] != len(events) + 1:
+            break
+        events.append(record)
+    return events
 
 
 def _intact_event(line: bytes) -> Optional[Dict[str, Any]]:

@@ -12,6 +12,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 #: Absolute tolerance (µs) for event simultaneity — two boundaries closer
@@ -21,8 +22,11 @@ TIME_EPS = 1e-9
 #: Remaining-work threshold (full-speed µs) below which a job is complete.
 WORK_EPS = 1e-6
 
+#: ``dataclass(slots=...)`` needs Python 3.10; 3.9 gets a dict-backed Ramp.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, **_SLOTS)
 class Ramp:
     """A linear speed ramp between two scheduling targets.
 

@@ -9,14 +9,18 @@ active job ``E_i``; here that is :attr:`Job.executed`, measured in full-speed
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import InvalidTaskError
 from .task import Task
 
+#: ``dataclass(slots=...)`` needs Python 3.10; 3.9 gets a dict-backed Job.
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(slots=True)
+
+@dataclass(**_SLOTS)
 class Job:
     """One instance of a periodic task.
 

@@ -80,6 +80,44 @@ class TestFingerprint:
         )
         assert campaign_key("f" * 64) == "c6f5ae9b34c64c673"
 
+    def test_on_disk_bytes_are_pinned(self, tmp_path):
+        # Caches, journals and campaign logs written by earlier releases
+        # must stay readable and byte-identical: the record encodings
+        # and the write discipline under them may not drift.
+        import hashlib
+
+        from repro.service.cache import ResultCache
+        from repro.service.durability import CampaignStore
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        with CheckpointJournal(tmp_path / "ckpt") as journal:
+            journal.record("f" * 64, {"cell": 1, "energy": 0.5})
+        assert sha(tmp_path / "ckpt" / JOURNAL_NAME) == (
+            "c9ca7788999e9b2ec51933e2d96b8881cacd67104a9c9c4b83b4608205955bae"
+        )
+        store = CampaignStore(tmp_path / "srv")
+        assert store.write_manifest("c1", {"meta": {"pack": "cnc"}, "cells": 4})
+        assert sha(store.manifest_path("c1")) == (
+            "f3c28d759b6ab016dec59e9db6c56d2dd559bd35c6efeb71139a07aa859024cc"
+        )
+        assert store.append_event(
+            "c1", {"seq": 1, "kind": "cell", "data": {"i": 0, "energy": 0.25}}
+        )
+        assert store.append_event("c1", {"seq": 2, "kind": "done", "data": {}})
+        store.close()
+        assert sha(store.events_path("c1")) == (
+            "32e896ffdfa2b82914033441df41b06e59775a8fb8911b10044da4e0ca4e5e68"
+        )
+        key = "ab" + "cd" * 31
+        ResultCache(disk_dir=tmp_path / "cache").put(
+            key, {"ok": True, "energy": 0.125}
+        )
+        assert sha(tmp_path / "cache" / key[:2] / f"{key}.json") == (
+            "99d6dc5036324925c5f3e84cbbc688bda659e3f4efa255ed9e8a5aee0cb233f8"
+        )
+
     def test_callable_scheduler_is_opaque(self):
         spec = _spec()
         opaque = RunSpec(
@@ -448,8 +486,8 @@ class TestMaintenanceLock:
     def test_uncreatable_lock_file(self, tmp_path, monkeypatch, capsys):
         # What a read-only or foreign-owned directory does to the
         # sidecar open, independent of the uid running the suite.
+        from repro import store
         from repro.cli import main
-        from repro.experiments import checkpoint
 
         with CheckpointJournal(tmp_path) as journal:
             journal.record("a", 1)
@@ -460,7 +498,7 @@ class TestMaintenanceLock:
                 raise PermissionError(13, "Permission denied")
             return real_open(path, flags, *args)
 
-        monkeypatch.setattr(checkpoint.os, "open", refuse_lock)
+        monkeypatch.setattr(store.os, "open", refuse_lock)
         repair = ["cache", "verify", "--checkpoint", str(tmp_path), "--repair"]
         # Sidecar present but unopenable: an appender may hold it.
         assert main(repair) == 1

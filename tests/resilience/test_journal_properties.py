@@ -31,6 +31,7 @@ from repro.experiments.checkpoint import (
     gc_journal,
     scrub_journal,
 )
+from repro.store import FileLock, RecordLog
 
 #: Crash-shaped garbage an append can leave behind: a torn JSON prefix,
 #: a non-JSON line, raw bytes without a newline, and an intact line of
@@ -161,3 +162,66 @@ def test_scrub_report_accounts_for_every_line(ops):
         report = scrub_journal(directory)  # report-only
         assert report.records == report.intact + report.corrupt
         assert report.dropped == 0  # without repair nothing is touched
+
+
+# -- the primitive under all three durable artifacts --------------------------
+
+_log_ops = st.lists(
+    st.one_of(
+        st.just(("append", 0)),
+        st.tuples(st.just("tear"), st.integers(0, len(TEARS) - 1)),
+        st.just(("rewrite", 0)),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_log_ops)
+def test_record_log_keeps_every_append_whole(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = RecordLog(Path(tmp) / "log" / "records.jsonl")
+        appended = []
+
+        def intact():
+            return [line for line in log.lines() if line in appended]
+
+        for op, arg in ops:
+            if op == "append":
+                record = json.dumps({"record": len(appended)}).encode("utf-8")
+                log.append(record)
+                appended.append(record)
+            elif op == "tear":
+                # A crash mid-append: the writer dies, torn bytes remain.
+                log.close()
+                log.path.parent.mkdir(parents=True, exist_ok=True)
+                with open(log.path, "ab") as handle:
+                    handle.write(TEARS[arg])
+            elif log.path.exists():
+                log.rewrite(intact())
+        log.close()
+        lines = log.lines() if log.path.exists() else []
+
+        # Every appended record is a readable line, in append order ...
+        assert [line for line in lines if line in appended] == appended
+        # ... and no torn tail ever merged with the record after it.
+        for line in lines:
+            if line not in appended:
+                assert not any(record in line for record in appended)
+        # Rewriting the intact lines is idempotent on the bytes.
+        if log.path.exists():
+            log.rewrite(intact())
+            once = log.path.read_bytes()
+            log.rewrite(intact())
+            assert log.path.read_bytes() == once
+
+
+def test_file_lock_shared_holder_blocks_exclusive(tmp_path):
+    sidecar = tmp_path / "journal.lock"
+    appender, maintainer = FileLock(sidecar), FileLock(sidecar)
+    assert appender.acquire(shared=True)
+    assert maintainer.acquire() is False
+    appender.release()
+    assert maintainer.acquire() is True
+    maintainer.release()

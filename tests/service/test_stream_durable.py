@@ -107,6 +107,22 @@ class TestCampaignStore:
         assert store.load_manifest("c1") is None
         assert store.scrub()["manifests"] == 0
 
+    def test_repeated_manifest_quarantine_keeps_every_copy(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        rots = ["{not json", "{still not json"]
+        for rot in rots:
+            assert store.write_manifest("c1", {"meta": {}})
+            store.manifest_path("c1").write_text(rot)
+            assert store.scrub(repair=True)["manifests_corrupt"] == 1
+        # Quarantine is evidence: the second rot must not overwrite
+        # the first one's copy.
+        kept = sorted(
+            path.read_text()
+            for path in store.campaigns_dir.rglob("*")
+            if path.is_file()
+        )
+        assert kept == sorted(rots)
+
     def test_scrub_survives_an_unreadable_event_log(self, tmp_path):
         store = CampaignStore(tmp_path)
         store.append_event("cgood", {"seq": 1, "kind": "done", "data": {}})
