@@ -36,11 +36,13 @@ import base64
 import hashlib
 import json
 import pickle
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, Iterator, Optional, Set, Tuple, Union,
+    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
 from ..errors import ConfigurationError
@@ -219,6 +221,26 @@ def spec_fingerprint(spec: "RunSpec") -> Optional[str]:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: The writer's line (``record_many``: sorted keys, no spaces) after its
+#: blob.  Base64 holds no quote, so the blob ends at the first one.
+_WRITER_HEAD = b'{"blob":"'
+_WRITER_TAIL = re.compile(rb'","fp":"([^"\\]*)","sha":"[0-9a-f]*","v":[0-9]+\}')
+
+
+def _writer_fingerprint(line: bytes) -> Optional[str]:
+    """The ``fp`` of a line in exactly the writer's shape, else ``None``.
+
+    Costs a scan for one quote, not a JSON decode of the blob.  The
+    captured bytes hold no escape, so they are the fingerprint the
+    decoder would read; a line of any other shape returns ``None``.
+    """
+    if not line.startswith(_WRITER_HEAD):
+        return None
+    end = line.find(b'"', len(_WRITER_HEAD))
+    match = _WRITER_TAIL.fullmatch(line, end) if end > 0 else None
+    return None if match is None else match.group(1).decode("utf-8", "replace")
+
+
 def _decode_record(
     line: bytes, wanted: Optional[Set[str]] = None
 ) -> Optional[Tuple[str, bytes]]:
@@ -294,6 +316,10 @@ class CheckpointJournal:
         # Newest first: the first intact record of a fingerprint is the
         # one that wins, and a restricted load stops once it has them all.
         for line in reversed(lines):
+            if needed is not None:
+                fp = _writer_fingerprint(line)
+                if fp is not None and fp not in needed:
+                    continue  # skipped before a byte of its blob is decoded
             decoded = _decode_record(line, needed)
             if decoded is None or decoded[0] in results:
                 continue
@@ -314,30 +340,42 @@ class CheckpointJournal:
 
     # -- write ---------------------------------------------------------------
     def record(self, fingerprint: str, result: Any) -> bool:
-        """Append one completed cell; returns False if it cannot be stored.
+        """Append one completed cell; returns False if it cannot be stored."""
+        return self.record_many([(fingerprint, result)])[0]
 
-        The record is durable (flushed + fsynced) before this returns,
-        so a parent killed immediately afterwards still resumes past
-        this cell.
+    def record_many(self, cells: Sequence[Tuple[str, Any]]) -> List[bool]:
+        """Append ``(fingerprint, result)`` cells with one write and one
+        fsync; returns, per cell, whether it was stored.
+
+        Every stored record is durable (flushed + fsynced) before this
+        returns, so a parent killed immediately afterwards still resumes
+        past these cells.  An unpicklable result is skipped on its own;
+        a refused write stores none of the batch.
         """
+        lines: List[bytes] = []
+        stored: List[bool] = []
+        for fingerprint, result in cells:
+            try:
+                payload = pickle.dumps(result)
+            except Exception:  # noqa: BLE001 - unpicklable result: skip journaling
+                stored.append(False)
+                continue
+            record = {
+                "v": JOURNAL_VERSION,
+                "fp": fingerprint,
+                "sha": hashlib.sha256(payload).hexdigest(),
+                "blob": base64.b64encode(payload).decode("ascii"),
+            }
+            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            lines.append(line.encode("utf-8"))
+            stored.append(True)
         try:
-            payload = pickle.dumps(result)
-        except Exception:  # noqa: BLE001 - unpicklable result: skip journaling
-            return False
-        record = {
-            "v": JOURNAL_VERSION,
-            "fp": fingerprint,
-            "sha": hashlib.sha256(payload).hexdigest(),
-            "blob": base64.b64encode(payload).decode("ascii"),
-        }
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        try:
-            self._log.append(line.encode("utf-8"))
+            self._log.append_many(lines)
         except OSError:
             # A full or read-only disk demotes checkpointing to a no-op;
             # the campaign itself must keep running.
-            return False
-        return True
+            return [False] * len(stored)
+        return stored
 
     def close(self) -> None:
         """Close the append handle and release the lock; idempotent."""

@@ -317,11 +317,11 @@ def _take_pool(width: int) -> Tuple[int, ProcessPoolExecutor]:
     """``(pool width, pool)`` with at least *width* workers: the idle warm
     pool if it is wide enough and intact, else a new one.
 
-    The caller still keeps at most *width* cells in flight, so a wider
-    pool never widens the set of worker-death suspects.  Quarantine
-    (*width* 1) always gets a fresh pool.  New workers start lazily on
-    the first submit, so this costs nothing until the campaign
-    dispatches.
+    The caller still keeps at most two cells per requested worker in
+    flight, so a wider pool never widens the set of worker-death
+    suspects.  Quarantine (*width* 1) always gets a fresh pool.  New
+    workers start lazily on the first submit, so this costs nothing
+    until the campaign dispatches.
     """
     global _idle_pool
     stale = None
@@ -347,34 +347,42 @@ def _park_pool(width: int, pool: ProcessPoolExecutor) -> None:
         displaced[1].shutdown(wait=True, cancel_futures=True)
 
 
-def _commit_result(
+#: Campaign progress hook: called with each committed batch of
+#: ``(index, result)`` cells.
+Progress = Callable[[List[Tuple[int, Any]]], None]
+
+
+def _commit_batch(
     results: List[Any],
-    index: int,
-    result: Union[SimulationResult, CellFailure],
+    landed: List[Tuple[int, Union[SimulationResult, CellFailure]]],
     journal: Optional[CheckpointJournal],
     fingerprints: Optional[List[Optional[str]]],
     stats: _CampaignStats,
-    progress: Optional[Callable[[int, Any], None]] = None,
+    progress: Optional[Progress] = None,
 ) -> None:
-    """Store one finished cell and journal it if checkpointing is on.
+    """Store a batch of finished cells, journaling them with one fsync.
 
     The journal write happens *before* the checkpoint-provenance stamp,
-    so the durable blob is the pristine result; only successful cells
+    so the durable blobs are the pristine results; only successful cells
     are journaled — failures must recompute on resume.  *progress*, when
-    given, observes every commit — it runs supervisor-side (never in a
-    worker process), after the result is durable.
+    given, observes the batch once — it runs supervisor-side (never in a
+    worker process), after every result in it is durable.
     """
-    if isinstance(result, CellFailure):
-        result.index = index
-        stats.cell_failures += 1
-    elif journal is not None and fingerprints is not None:
-        fp = fingerprints[index]
-        if fp is not None and journal.record(fp, result):
-            stats.checkpoint_stored += 1
-            result.metadata["checkpoint"] = "stored"
-    results[index] = result
+    journaled = []
+    for i, result in landed:
+        if isinstance(result, CellFailure):
+            result.index = i
+            stats.cell_failures += 1
+        elif fingerprints is not None and fingerprints[i] is not None:
+            journaled.append((fingerprints[i], result))
+        results[i] = result
+    if journal is not None and journaled:
+        for (_, result), stored in zip(journaled, journal.record_many(journaled)):
+            if stored:
+                stats.checkpoint_stored += 1
+                result.metadata["checkpoint"] = "stored"
     if progress is not None:
-        progress(index, result)
+        progress(landed)
 
 
 def _run_serial(
@@ -385,7 +393,7 @@ def _run_serial(
     journal: Optional[CheckpointJournal],
     fingerprints: Optional[List[Optional[str]]],
     stats: _CampaignStats,
-    progress: Optional[Callable[[int, Any], None]] = None,
+    progress: Optional[Progress] = None,
 ) -> None:
     """In-process execution of *indices*, committing each as it lands."""
     for i in indices:
@@ -395,7 +403,13 @@ def _run_serial(
                 result.attempts = 1
         else:
             result = _run_spec(spec_list[i])
-        _commit_result(results, i, result, journal, fingerprints, stats, progress)
+        _commit_batch(results, [(i, result)], journal, fingerprints, stats, progress)
+
+
+#: Cells kept in flight per pool worker: one running and one waiting in
+#: the executor's call queue, so a worker starts its next cell the moment
+#: it finishes one instead of idling through a supervisor round trip.
+_CELLS_PER_WORKER = 2
 
 
 def _pool_generation(
@@ -407,18 +421,19 @@ def _pool_generation(
     journal: Optional[CheckpointJournal],
     fingerprints: Optional[List[Optional[str]]],
     stats: _CampaignStats,
-    progress: Optional[Callable[[int, Any], None]] = None,
+    progress: Optional[Progress] = None,
 ) -> Tuple[bool, List[int], List[int]]:
     """Run *indices* through one process pool until done or it breaks.
 
-    Dispatch is wave-based — at most *workers* cells are ever in flight
-    — so when the pool breaks, the set of cells that might have killed
-    it is bounded by *workers*, not the campaign size.  Finished cells
-    are popped and the wave topped back up *before* they are committed,
-    so workers keep simulating while the supervisor fsyncs the journal.
-    Returns ``(broken, suspects, leftover)``: the cells in flight at the
-    break (one of them is probably the killer) and the cells never
-    submitted (innocent; re-dispatch freely).
+    At most ``_CELLS_PER_WORKER * workers`` cells are ever in flight, so
+    when the pool breaks, the set of cells that might have killed it is
+    bounded by twice the worker count, not the campaign size.  The cells
+    that land in one wake-up are popped and the window topped back up
+    *before* they are committed as one batch, so workers keep simulating
+    while the supervisor fsyncs the journal.  Returns
+    ``(broken, suspects, leftover)``: the cells in flight at the break
+    (one of them is probably the killer) and the cells never submitted
+    (innocent; re-dispatch freely).
 
     Multi-worker generations take the warm pool when it is wide enough
     and park their pool afterwards if it ended clean — nothing broken,
@@ -433,14 +448,15 @@ def _pool_generation(
     except (OSError, PermissionError, NotImplementedError):
         raise _PoolUnavailable() from None
     runner = _run_spec if failures == "raise" else _run_spec_contained
+    window = _CELLS_PER_WORKER * workers
     queue: "deque[int]" = deque(indices)
     inflight: Dict[Any, int] = {}
     broken = False
     suspects: List[int] = []
 
     def refill() -> bool:
-        """Top the wave up to *workers* cells; False if the pool broke."""
-        while queue and len(inflight) < workers:
+        """Top the window up; False if the pool broke."""
+        while queue and len(inflight) < window:
             i = queue.popleft()
             try:
                 inflight[pool.submit(runner, spec_list[i])] = i
@@ -449,8 +465,9 @@ def _pool_generation(
                 return False
         return True
 
-    def commit(i: int, cell: Any) -> None:
-        _commit_result(results, i, cell, journal, fingerprints, stats, progress)
+    def commit(landed: List[Tuple[int, Any]]) -> None:
+        if landed:
+            _commit_batch(results, landed, journal, fingerprints, stats, progress)
 
     try:
         broken = not refill()
@@ -458,7 +475,7 @@ def _pool_generation(
             done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
             landed = []
             error: Optional[BaseException] = None
-            for future in done:
+            for future in sorted(done, key=inflight.__getitem__):
                 i = inflight.pop(future)
                 exc = future.exception()
                 if exc is None:
@@ -475,19 +492,20 @@ def _pool_generation(
                     error = exc
             if not broken and error is None:
                 broken = not refill()
-            for i, cell in landed:
-                commit(i, cell)
+            commit(landed)
             if error is not None:
                 raise error
         if broken and inflight:
             # The pool fails every remaining future promptly once broken;
             # a worker may still have completed a cell in the same race.
             wait(list(inflight))
-            for future, i in inflight.items():
+            landed = []
+            for future, i in sorted(inflight.items(), key=lambda item: item[1]):
                 if future.exception() is None and not future.cancelled():
-                    commit(i, future.result())
+                    landed.append((i, future.result()))
                 else:
                     suspects.append(i)
+            commit(landed)
     finally:
         if width > 1 and not broken and not inflight:
             _park_pool(width, pool)
@@ -506,17 +524,19 @@ def _run_pool_supervised(
     journal: Optional[CheckpointJournal],
     fingerprints: Optional[List[Optional[str]]],
     stats: _CampaignStats,
-    progress: Optional[Callable[[int, Any], None]] = None,
+    progress: Optional[Progress] = None,
 ) -> None:
     """Supervise pool execution across worker deaths.
 
     When a pool breaks mid-run, completed cells keep their results; the
     cells that were in flight become *suspects* and are re-dispatched
-    one at a time in single-worker quarantine pools — a killer cell then
-    breaks only its own pool, so it is identified deterministically and
-    charged against its retry budget, while innocent bystanders complete
-    on their first quarantine run.  Everything never submitted continues
-    in a fresh full-width pool.
+    one at a time in single-worker quarantine pools.  A cell is blamed
+    only for a pool it broke as the only cell in flight: a killer cell
+    then breaks its own quarantine pool, so it is identified
+    deterministically and charged against its retry budget, while
+    innocent bystanders complete on their first quarantine run and are
+    never charged.  Everything never submitted continues in a fresh
+    full-width pool.
     """
     attempts: Dict[int, int] = {i: 0 for i in indices}
     pending: List[int] = list(indices)
@@ -546,16 +566,21 @@ def _run_pool_supervised(
             # serial fallback instead of burning retry budgets.
             raise _PoolUnavailable()
         stats.pool_rebuilds += 1
+        if len(batch) > 1:
+            # Any cell in flight may have killed the pool; none is
+            # blamed until it breaks one alone.
+            stats.cell_retries += len(suspects)
+            quarantine.extend(suspects)
+            continue
         for i in suspects:
             attempts[i] += 1
             if attempts[i] <= retries:
                 stats.cell_retries += 1
                 quarantine.append(i)
             elif failures == "contain":
-                _commit_result(
+                _commit_batch(
                     results,
-                    i,
-                    CellFailure.from_worker_loss(spec_list[i], i, attempts[i]),
+                    [(i, CellFailure.from_worker_loss(spec_list[i], i, attempts[i]))],
                     journal,
                     fingerprints,
                     stats,
@@ -577,7 +602,7 @@ def run_many(
     failures: str = "raise",
     retries: int = 2,
     checkpoint: Union[None, str, Path] = None,
-    progress: Optional[Callable[[int, Any], None]] = None,
+    progress: Optional[Progress] = None,
 ) -> List[Union[SimulationResult, CellFailure]]:
     """Execute a campaign of :class:`RunSpec` cells, optionally in parallel.
 
@@ -597,18 +622,21 @@ def run_many(
     the pool is rebuilt and only incomplete cells are re-dispatched,
     each at most ``retries`` extra times before it is given up as a
     :class:`CellFailure` (or, under ``"raise"``, an
-    :class:`~repro.errors.ExecutionError`).
+    :class:`~repro.errors.ExecutionError`).  Only a run that breaks a
+    pool with no other cell in flight counts against a cell's budget.
 
     ``checkpoint`` names a journal directory: completed cells are
-    appended durably as they land (keyed by
-    :func:`~repro.experiments.checkpoint.spec_fingerprint`), and a rerun
-    pointed at the same directory resumes — journaled cells are restored
-    (``metadata["checkpoint"] == "hit"``) instead of recomputed.
+    appended durably as they land, with one fsync per committed batch
+    (keyed by :func:`~repro.experiments.checkpoint.spec_fingerprint`),
+    and a rerun pointed at the same directory resumes — journaled cells
+    are restored (``metadata["checkpoint"] == "hit"``) instead of
+    recomputed.
 
-    ``progress``, when given, is called as ``progress(index, result)``
-    for every cell as it finishes — including checkpoint restores and
+    ``progress``, when given, is called with each committed batch as a
+    list of ``(index, result)`` pairs — every cell appears exactly once,
+    including checkpoint restores (one batch, in cell order) and
     contained :class:`CellFailure` cells — always in *this* process (the
-    supervisor side), in completion order, after the result is committed.
+    supervisor side), in completion order, after the batch is committed.
     Live observers (the service's campaign streaming) hang off this hook.
 
     The serial path is also the fallback: spec lists that cannot be
@@ -644,17 +672,19 @@ def run_many(
         fingerprints = [spec_fingerprint(spec) for spec in spec_list]
         stored = journal.load(fp for fp in fingerprints if fp is not None)
         remaining = []
+        hits = []
         for i in pending:
             fp = fingerprints[i]
             hit = stored.get(fp) if fp is not None else None
             if hit is not None:
                 hit.metadata["checkpoint"] = "hit"
                 results[i] = hit
-                stats.checkpoint_hits += 1
-                if progress is not None:
-                    progress(i, hit)
+                hits.append((i, hit))
             else:
                 remaining.append(i)
+        stats.checkpoint_hits = len(hits)
+        if hits and progress is not None:
+            progress(hits)
         pending = remaining
     try:
         if resolved <= 1 or len(pending) <= 1:

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..analysis.weakly_hard import WeaklyHard, check_result
+from ..errors import ConfigurationError
 from ..experiments.runner import CellFailure, RunSpec, run_many
 from ..faults.layer import FaultLayer
 from ..sim.metrics import SimulationResult
@@ -196,13 +197,16 @@ def run_scenario(
     *,
     failures: str = "contain",
     progress: Optional[Callable[[ProgressEvent], None]] = None,
+    progress_batch: Optional[Callable[[List[ProgressEvent]], None]] = None,
     checkpoint: Union[None, str, "Path"] = None,
 ) -> ScenarioReport:
     """Run the whole campaign grid and judge every cell's (m,k) windows.
 
     *progress*, when given, receives one JSON-ready event per finished
     cell (supervisor-side, completion order) — the payload the service's
-    ``/v1/stream`` endpoint forwards verbatim.
+    ``/v1/stream`` endpoint forwards verbatim.  *progress_batch* receives
+    the same events as one list per committed batch, so a durable
+    subscriber pays one fsync per batch; pass one hook or the other.
 
     *checkpoint* threads the campaign through the executor's durable
     journal: every finished cell is committed (fsynced) before its
@@ -242,11 +246,20 @@ def run_scenario(
             violations=violations,
         )
 
-    def observe(index: int, result: Any) -> None:
+    if progress is not None and progress_batch is not None:
+        raise ConfigurationError("pass progress or progress_batch, not both")
+
+    def observe(batch: List[Tuple[int, Any]]) -> None:
+        events = [describe(index, result) for index, result in batch]
+        if progress_batch is not None:
+            progress_batch(events)
+        elif progress is not None:
+            for event in events:
+                progress(event)
+
+    def describe(index: int, result: Any) -> ProgressEvent:
         outcome = judge(index, result)
         outcomes[index] = outcome
-        if progress is None:
-            return
         event: ProgressEvent = {
             "event": "cell",
             "cell": index,
@@ -268,7 +281,7 @@ def run_scenario(
             if scenario.constraints:
                 event["weakly_hard_ok"] = bool(outcome.satisfied)
                 event["violations"] = dict(outcome.violations)
-        progress(event)
+        return event
 
     results = run_many(
         specs,

@@ -22,8 +22,9 @@ fsynced append and lease ``flock`` themselves live in
   canonical document, grid size) is written atomically
   *before* the first cell runs, so a crash at any instant leaves either
   no campaign or a resumable one, never a half-registered one.
-* **Durable-before-visible events** — an event is appended, flushed and
-  fsynced to ``<id>.events.jsonl`` before subscribers see it, so a
+* **Durable-before-visible events** — each batch of events is appended,
+  flushed and fsynced (once) to ``<id>.events.jsonl`` before
+  subscribers see any of it, so a
   reconnecting client's ``?after=N`` cursor always refers to state that
   survives a crash.
 * **Tolerant, prefix-exact reads** — each event line carries a checksum
@@ -53,7 +54,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..obs.registry import DISABLED
 from ..store import QUARANTINE_DIR, FileLock, RecordLog, atomic_write, quarantine
@@ -217,18 +218,31 @@ class CampaignStore:
 
     # -- event log -----------------------------------------------------------
     def append_event(self, campaign_id: str, event: Dict[str, Any]) -> bool:
-        """Durably append one hub event; False on an unwritable disk.
+        """Durably append one hub event; False on an unwritable disk."""
+        return self.append_events(campaign_id, [event])
 
-        The record is flushed and fsynced before this returns — the
-        durable-before-visible half of the reconnect contract.
+    def append_events(
+        self, campaign_id: str, events: Sequence[Dict[str, Any]]
+    ) -> bool:
+        """Durably append hub *events* with one write and one fsync;
+        False on an unwritable disk.
+
+        The batch is flushed and fsynced before this returns — the
+        durable-before-visible half of the reconnect contract.  A crash
+        mid-write leaves an intact prefix of the batch, which the
+        gapless-prefix reader accepts as it stands.
         """
-        record = event_record(event)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        lines = [
+            json.dumps(
+                event_record(event), sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+            for event in events
+        ]
         log = self._logs.get(campaign_id)
         if log is None:
             log = self._logs[campaign_id] = RecordLog(self.events_path(campaign_id))
         try:
-            log.append(line.encode("utf-8"))
+            log.append_many(lines)
         except OSError:
             return False
         return True

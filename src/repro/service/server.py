@@ -316,7 +316,9 @@ class ScheduleService:
                     scenario,
                     jobs=jobs,
                     checkpoint=checkpoint,
-                    progress=lambda event: hub.publish(campaign_id, "cell", event),
+                    progress_batch=lambda events: hub.publish_many(
+                        campaign_id, [("cell", event) for event in events]
+                    ),
                 )
                 summary: Dict[str, Any] = {
                     "scenario": scenario.name,

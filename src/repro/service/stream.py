@@ -15,15 +15,15 @@ directly.
 Two orthogonal hardening layers (this PR):
 
 * **Durability** — with a :class:`~repro.service.durability.CampaignStore`
-  attached, every event is fsynced to the campaign's on-disk log
-  *before* subscribers see it, and :meth:`CampaignHub.load_persisted`
+  attached, every batch of events is fsynced to the campaign's on-disk
+  log (one fsync per batch) *before* subscribers see any of it, and :meth:`CampaignHub.load_persisted`
   replays the logs after a restart, so ``?after=N`` reconnects across a
   server crash are gapless and duplicate-free.  Cell events deduplicate
   by cell index: when a resumed campaign's checkpoint prefill re-fires
   cells that already streamed before the crash, the hub drops the
   duplicates instead of re-sequencing them.  The contract is honest
-  about failure, too: if the disk rejects an append, the event is
-  *never* shown to subscribers — the campaign fails loudly
+  about failure, too: if the disk rejects an append, no event of that
+  batch is *ever* shown to subscribers — the campaign fails loudly
   (``stream.durability_degraded``) rather than stream state a crash
   would silently erase.
 * **Bounded retention** — finished campaigns are evicted after
@@ -45,7 +45,9 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import ConfigurationError, ServiceError
 from ..obs.registry import Registry
@@ -242,24 +244,33 @@ class CampaignHub:
     def publish(
         self, campaign_id: str, kind: str, data: Dict[str, Any]
     ) -> int:
-        """Append one event; returns its sequence number (1-based).
+        """Append one event; returns its sequence number (1-based)."""
+        return self.publish_many(campaign_id, [(kind, data)])[0]
 
-        With a store attached the event is durably journaled *before*
-        it becomes visible.  A ``cell`` event whose cell index has
-        already been published (a checkpoint-prefill replay after
-        resume) is dropped as a duplicate: the original sequence number
-        is returned and no new event appears.
+    def publish_many(
+        self, campaign_id: str, items: Sequence[Tuple[str, Dict[str, Any]]]
+    ) -> List[int]:
+        """Append ``(kind, data)`` events in order; returns their sequence
+        numbers (1-based).
 
-        If the store rejects the append (disk full, I/O error), the
+        With a store attached the whole batch is journaled with one
+        fsync *before* any of it becomes visible.  A ``cell`` event whose
+        cell index has already been published (a checkpoint-prefill
+        replay after resume, or a repeat within the batch) is dropped as
+        a duplicate: the original sequence number is returned and no new
+        event appears.  A terminal event must come last.
+
+        If the store rejects the batch (disk full, I/O error), the
         durable-before-visible contract is enforced rather than quietly
-        abandoned: the event never becomes visible, the campaign is
-        failed with a terminal ``error`` event, the
+        abandoned: no event of the batch becomes visible, the campaign
+        is failed with a terminal ``error`` event, the
         ``stream.durability_degraded`` counter fires, and
         :class:`~repro.errors.ServiceError` is raised so the runner
-        stops computing cells nobody could ever resume.  A *terminal*
-        event that cannot be journaled still becomes visible (clients
-        need closure) but the campaign is marked ``durable: false`` in
-        its meta — a restart will resume and re-finish it durably.
+        stops computing cells nobody could ever resume.  A lone
+        *terminal* event that cannot be journaled still becomes visible
+        (clients need closure) but the campaign is marked
+        ``durable: false`` in its meta — a restart will resume and
+        re-finish it durably.
         """
         with self._lock:
             campaign = self._require(campaign_id)
@@ -267,40 +278,54 @@ class CampaignHub:
                 raise ConfigurationError(
                     f"campaign {campaign_id!r} is already {campaign.state}"
                 )
-            if kind == "cell" and isinstance(data.get("cell"), int):
-                seen = campaign.seen_cells.get(data["cell"])
-                if seen is not None:
-                    self._obs.count("stream.duplicates_skipped")
-                    return seen
-            if self._store is not None:
-                pending = {
-                    "seq": len(campaign.events) + 1,
-                    "kind": kind,
-                    "data": dict(data),
-                }
-                if not self._store.append_event(campaign_id, pending):
-                    return self._lose_durability(campaign, kind, data)
-            event = campaign.append(kind, data)
+            if any(kind in TERMINAL_KINDS for kind, _ in items[:-1]):
+                raise ConfigurationError("a terminal event must come last")
+            base = len(campaign.events)
+            seqs: List[int] = []
+            fresh: List[Dict[str, Any]] = []
+            claimed: Dict[int, int] = {}
+            for kind, data in items:
+                cell = data.get("cell") if kind == "cell" else None
+                if isinstance(cell, int):
+                    seen = campaign.seen_cells.get(cell) or claimed.get(cell)
+                    if seen is not None:
+                        self._obs.count("stream.duplicates_skipped")
+                        seqs.append(seen)
+                        continue
+                    claimed[cell] = base + len(fresh) + 1
+                fresh.append(
+                    {"seq": base + len(fresh) + 1, "kind": kind, "data": dict(data)}
+                )
+                seqs.append(fresh[-1]["seq"])
+            if not fresh:
+                return seqs
+            if self._store is not None and not self._store.append_events(
+                campaign_id, fresh
+            ):
+                self._lose_durability(campaign, fresh)
+                return seqs
+            for event in fresh:
+                campaign.append(event["kind"], event["data"])
             if self._store is not None and campaign.done:
                 self._store.close(campaign_id)
-            self._obs.count("stream.events")
+            self._obs.count("stream.events", len(fresh))
             self._lock.notify_all()
-            return event["seq"]
+            return seqs
 
     def _lose_durability(
-        self, campaign: _Campaign, kind: str, data: Dict[str, Any]
-    ) -> int:
+        self, campaign: _Campaign, batch: List[Dict[str, Any]]
+    ) -> None:
         """Handle a rejected store append; callers hold the lock."""
         self._obs.count("stream.durability_degraded")
         campaign.meta["durable"] = False
-        if kind in TERMINAL_KINDS:
-            event = campaign.append(kind, data)
+        if len(batch) == 1 and batch[0]["kind"] in TERMINAL_KINDS:
+            campaign.append(batch[0]["kind"], batch[0]["data"])
             self._store.close(campaign.id)
             self._lock.notify_all()
-            return event["seq"]
+            return
         message = (
-            f"durability lost: could not journal a {kind!r} event for "
-            f"campaign {campaign.id!r}"
+            f"durability lost: could not journal {len(batch)} event(s) "
+            f"for campaign {campaign.id!r}"
         )
         error = campaign.append("error", {"error": message})
         self._store.append_event(campaign.id, error)  # best effort

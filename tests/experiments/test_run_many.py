@@ -114,6 +114,33 @@ class TestExecutorMechanics:
         for spec, result in zip(specs, results):
             assert result.taskset == spec.taskset.name
 
+    def test_progress_commits_batches_with_one_journal_write_each(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.checkpoint import CheckpointJournal
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        writes = []
+        record_many = CheckpointJournal.record_many
+        monkeypatch.setattr(
+            CheckpointJournal,
+            "record_many",
+            lambda self, cells: writes.append(len(cells)) or record_many(self, cells),
+        )
+        specs = _grid_specs()
+        batches = []
+        run_many(specs, jobs=2, checkpoint=tmp_path, progress=batches.append)
+        assert sorted(i for batch in batches for i, _ in batch) == list(
+            range(len(specs))
+        )
+        assert writes == [len(batch) for batch in batches]
+        # A resume restores every cell as one batch, in cell order.
+        batches.clear()
+        run_many(specs, jobs=2, checkpoint=tmp_path, progress=batches.append)
+        assert len(batches) == 1
+        assert [i for i, _ in batches[0]] == list(range(len(specs)))
+        assert all(r.metadata["checkpoint"] == "hit" for _, r in batches[0])
+
     def test_factory_scheduler_supported(self):
         taskset = get_workload("cnc").prioritized()
         spec = RunSpec(taskset=taskset, scheduler=FpsScheduler, duration=9_600.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 import pickle
 import tempfile
 from pathlib import Path
@@ -25,6 +26,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import checkpoint
 from repro.experiments.checkpoint import (
     JOURNAL_VERSION,
     CheckpointJournal,
@@ -169,6 +171,12 @@ def test_scrub_report_accounts_for_every_line(ops):
 _log_ops = st.lists(
     st.one_of(
         st.just(("append", 0)),
+        st.tuples(st.just("batch"), st.integers(0, 4)),
+        # A crash mid-batch: (records in the batch, where the bytes stop).
+        st.tuples(
+            st.just("torn-batch"),
+            st.tuples(st.integers(1, 4), st.floats(0.0, 1.0)),
+        ),
         st.tuples(st.just("tear"), st.integers(0, len(TEARS) - 1)),
         st.just(("rewrite", 0)),
     ),
@@ -183,32 +191,62 @@ def test_record_log_keeps_every_append_whole(ops):
     with tempfile.TemporaryDirectory() as tmp:
         log = RecordLog(Path(tmp) / "log" / "records.jsonl")
         appended = []
+        torn_batches = []
 
         def intact():
             return [line for line in log.lines() if line in appended]
+
+        def crash_with(data):
+            # The writer dies; whatever bytes it had written remain.
+            log.close()
+            log.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(log.path, "ab") as handle:
+                handle.write(data)
 
         for op, arg in ops:
             if op == "append":
                 record = json.dumps({"record": len(appended)}).encode("utf-8")
                 log.append(record)
                 appended.append(record)
-            elif op == "tear":
-                # A crash mid-append: the writer dies, torn bytes remain.
+            elif op == "batch":
+                batch = [
+                    json.dumps({"record": len(appended) + n}).encode("utf-8")
+                    for n in range(arg)
+                ]
+                log.append_many(batch)
+                appended.extend(batch)
+            elif op == "torn-batch":
+                size, fraction = arg
+                batch = [
+                    json.dumps({"torn": len(torn_batches), "n": n}).encode("utf-8")
+                    for n in range(size)
+                ]
+                # The batch is written, then the bytes past the crash
+                # point are lost.
+                log.append_many(batch)
                 log.close()
-                log.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(log.path, "ab") as handle:
-                    handle.write(TEARS[arg])
+                lost = len(b"".join(record + b"\n" for record in batch))
+                size = log.path.stat().st_size
+                os.truncate(log.path, size - lost + int(fraction * lost))
+                torn_batches.append(batch)
+            elif op == "tear":
+                crash_with(TEARS[arg])
             elif log.path.exists():
                 log.rewrite(intact())
         log.close()
         lines = log.lines() if log.path.exists() else []
 
-        # Every appended record is a readable line, in append order ...
+        # Every record of every completed append or batch is a readable
+        # line, in append order ...
         assert [line for line in lines if line in appended] == appended
         # ... and no torn tail ever merged with the record after it.
         for line in lines:
             if line not in appended:
                 assert not any(record in line for record in appended)
+        # A torn batch leaves an intact prefix of its records.
+        for batch in torn_batches:
+            survivors = [record for record in batch if record in lines]
+            assert survivors == batch[: len(survivors)]
         # Rewriting the intact lines is idempotent on the bytes.
         if log.path.exists():
             log.rewrite(intact())
@@ -225,3 +263,20 @@ def test_file_lock_shared_holder_blocks_exclusive(tmp_path):
     appender.release()
     assert maintainer.acquire() is True
     maintainer.release()
+
+
+def test_load_whose_wanted_set_misses_decodes_no_blob(tmp_path, monkeypatch):
+    with CheckpointJournal(tmp_path) as journal:
+        journal.record_many([(f"cell-{n}", {"cell": n}) for n in range(5)])
+    decoded = []
+    original = checkpoint._decode_record
+    monkeypatch.setattr(
+        checkpoint,
+        "_decode_record",
+        lambda line, wanted=None: decoded.append(line) or original(line, wanted),
+    )
+    assert CheckpointJournal(tmp_path).load({"cell-absent"}) == {}
+    assert decoded == []
+    # A wanted record is still decoded in full, checksum and all.
+    assert CheckpointJournal(tmp_path).load({"cell-3"}) == {"cell-3": {"cell": 3}}
+    assert len(decoded) == 1

@@ -161,6 +161,57 @@ class TestPoisonPill:
         assert isinstance(resumed[3], CellFailure)
 
 
+class TestBlame:
+    """Only a cell that breaks a pool on its own is ever charged."""
+
+    def test_innocent_cell_in_flight_with_a_killer_is_not_failed(self):
+        # Regression: with retries=0 every cell in flight when the
+        # worker died was given up at once, the slow innocent one too.
+        specs = [
+            with_chaos(_spec(seed=1), slow_cell(0.2)),
+            with_chaos(_spec(seed=2), kill_worker()),
+            _spec(seed=3),
+            _spec(seed=4),
+        ]
+        reference = _sig(run_many([_spec(seed=1)], jobs=1)[0])
+        results = run_many(specs, jobs=2, failures="contain", retries=0)
+        assert [isinstance(r, CellFailure) for r in results] == [
+            False, True, False, False,
+        ]
+        assert _sig(results[0]) == reference
+        assert results[1].attempts == 1
+
+    def test_raise_mode_names_the_killer_not_a_bystander(self):
+        # A clean first cell proves the pool works (a first pool that
+        # dies before any cell lands falls back to the serial path); the
+        # slow cell is still running when the pill kills its worker.
+        specs = [
+            _spec(seed=1),
+            with_chaos(_spec(seed=2), slow_cell(0.2)),
+            with_chaos(_spec(seed=3), kill_worker()),
+            _spec(seed=4),
+        ]
+        with pytest.raises(ExecutionError, match=r"campaign cell 2 "):
+            run_many(specs, jobs=2, retries=0)
+
+    def test_poison_with_a_full_window_in_flight_fails_alone(self):
+        # Two workers keep four cells in flight (one running, one queued
+        # each), so the pill breaks a pool with three bystanders in it.
+        workers = 2
+        seeds = range(1, 2 * workers + 3)
+        reference = [_sig(r) for r in run_many([_spec(seed=s) for s in seeds], jobs=1)]
+        specs = [_spec(seed=s) for s in seeds]
+        specs[0] = with_chaos(specs[0], kill_worker())
+        registry = Registry()
+        with installed(registry):
+            results = run_many(specs, jobs=workers, failures="contain", retries=1)
+        failure = results[0]
+        assert isinstance(failure, CellFailure)
+        assert failure.attempts == 2
+        assert [_sig(r) for r in results[1:]] == reference[1:]
+        assert registry.counter_value("runner.cell_failures") == 1
+
+
 class TestSlowCell:
     def test_slow_cell_is_benign(self):
         specs = [with_chaos(_spec(seed=1), slow_cell(0.05)), _spec(seed=2)]

@@ -111,3 +111,25 @@ class TestProgress:
             pooled.satisfied_by_scheduler() == serial.satisfied_by_scheduler()
         )
         assert pooled.fingerprint == serial.fingerprint
+
+    def test_batch_hook_sees_the_per_event_stream(self, weakly_hard_report, monkeypatch):
+        """progress is the one-event form of progress_batch."""
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        scenario, _, serial_events = weakly_hard_report
+        batches = []
+        run_scenario(scenario, jobs=2, progress_batch=batches.append)
+        flat = [event for batch in batches for event in batch]
+        assert all(batches)
+        assert sorted(flat, key=lambda e: e["cell"]) == sorted(
+            serial_events, key=lambda e: e["cell"]
+        )
+
+    def test_both_hooks_are_refused(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="not both"):
+            run_scenario(
+                load_pack("weakly_hard"),
+                progress=lambda event: None,
+                progress_batch=lambda events: None,
+            )

@@ -82,6 +82,29 @@ class TestCampaignStore:
         # suspect (its durability ordering is gone), so only seq 1 loads.
         assert [e["seq"] for e in store.load_events("c1")] == [1]
 
+    @pytest.mark.parametrize("keep", [0.0, 0.3, 0.5, 0.8, 0.99])
+    def test_torn_batch_reloads_as_its_gapless_intact_prefix(self, tmp_path, keep):
+        store = CampaignStore(tmp_path)
+        assert store.append_events(
+            "c1", [{"seq": 1, "kind": "cell", "data": {"cell": 0}}]
+        )
+        batch = [
+            {"seq": seq, "kind": "cell", "data": {"cell": seq - 1}}
+            for seq in (2, 3, 4, 5)
+        ]
+        assert store.append_events("c1", batch)
+        store.close()
+        path = store.events_path("c1")
+        data = path.read_bytes()
+        first = data.index(b"\n") + 1
+        # A crash mid-batch: the batch's bytes stop anywhere.
+        cut = first + int(keep * (len(data) - first))
+        path.write_bytes(data[:cut])
+        whole = data[first:cut].count(b"\n")
+        assert [e["seq"] for e in store.load_events("c1")] == list(
+            range(1, whole + 2)
+        )
+
     def test_scrub_repair_truncates_event_logs(self, tmp_path):
         store = CampaignStore(tmp_path)
         store.write_manifest("c1", {"meta": {}})
@@ -299,7 +322,7 @@ class TestDurabilityDegraded:
         hub.store.write_manifest("cabc", {"meta": {}})
         cid = hub.create({}, campaign_id="cabc")
         hub.publish(cid, "cell", {"cell": 0})
-        hub.store.append_event = lambda *a, **k: False  # disk says no
+        hub.store.append_events = lambda *a, **k: False  # disk says no
         with pytest.raises(ServiceError, match="durability lost"):
             hub.publish(cid, "cell", {"cell": 1})
         events, done = hub.events_since(cid)
@@ -310,12 +333,28 @@ class TestDurabilityDegraded:
         assert hub.snapshot(cid)["meta"]["durable"] is False
         assert obs.counter_value("stream.durability_degraded") == 1
 
+    def test_rejected_batch_shows_none_of_its_events(self, tmp_path):
+        hub, obs = _durable_hub(tmp_path)
+        hub.store.write_manifest("cabc", {"meta": {}})
+        cid = hub.create({}, campaign_id="cabc")
+        hub.publish(cid, "cell", {"cell": 0})
+        hub.store.append_events = lambda *a, **k: False  # disk says no
+        with pytest.raises(ServiceError, match="durability lost"):
+            hub.publish_many(
+                cid, [("cell", {"cell": 1}), ("cell", {"cell": 2})]
+            )
+        events, done = hub.events_since(cid)
+        assert done is True
+        assert [e["kind"] for e in events] == ["cell", "error"]
+        assert [e["data"].get("cell") for e in events] == [0, None]
+        assert obs.counter_value("stream.durability_degraded") == 1
+
     def test_failed_terminal_append_stays_visible_but_marked(self, tmp_path):
         hub, obs = _durable_hub(tmp_path)
         hub.store.write_manifest("cabc", {"meta": {}})
         cid = hub.create({}, campaign_id="cabc")
         hub.publish(cid, "cell", {"cell": 0})
-        hub.store.append_event = lambda *a, **k: False
+        hub.store.append_events = lambda *a, **k: False
         hub.finish(cid, {"failed": 0})  # no raise: clients need closure
         assert hub.snapshot(cid)["state"] == "done"
         assert hub.snapshot(cid)["meta"]["durable"] is False
@@ -436,6 +475,28 @@ class TestDurableHub:
         events, _ = hub.events_since(cid)
         assert len(events) == 1
         assert obs.counter_value("stream.duplicates_skipped") == 1
+
+    def test_publish_many_is_one_fsynced_batch(self, tmp_path, monkeypatch):
+        hub, _ = _durable_hub(tmp_path)
+        hub.store.write_manifest("cabc", {"meta": {}})
+        cid = hub.create({}, campaign_id="cabc")
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        seqs = hub.publish_many(
+            cid,
+            [("cell", {"cell": 0}), ("cell", {"cell": 1}), ("cell", {"cell": 0})],
+        )
+        assert seqs == [1, 2, 1]  # a repeat within the batch is a duplicate
+        assert len(fsyncs) == 1
+        assert [e["seq"] for e in hub.store.load_events(cid)] == [1, 2]
+
+    def test_terminal_event_must_end_its_batch(self, tmp_path):
+        hub, _ = _durable_hub(tmp_path)
+        cid = hub.create({})
+        with pytest.raises(ConfigurationError, match="terminal"):
+            hub.publish_many(cid, [("done", {}), ("cell", {"cell": 0})])
+        assert hub.events_since(cid) == ([], False)
 
     def test_resume_prefill_after_restart_stays_gapless(self, tmp_path):
         # Crash after cell 0; the resumed runner's checkpoint prefill
