@@ -28,9 +28,12 @@ from typing import Optional
 from ..errors import ConfigurationError
 from ..sim.dispatch import Scheduler, fixed_priority_dispatch
 from ..sim.events import NO_CHANGE, Decision, SchedEvent, SleepRequest
+from ..sim.profile import TIME_EPS
 from .speed import heuristic_speed_ratio, optimal_speed_ratio, slowdown_window
 
 _EPS = 1e-9
+#: Hoisted: an ``Enum`` class-attribute lookup is measurable per pass.
+_RAMP_DONE = SchedEvent.RAMP_DONE
 
 
 class LpfpsScheduler(Scheduler):
@@ -92,7 +95,10 @@ class LpfpsScheduler(Scheduler):
                 f"wakeup_margin must be >= 0, got {wakeup_margin}"
             )
         self.wakeup_margin = wakeup_margin
-        self._restoring = False
+        # False only while the L1-L4 restore ramp is in flight: the end of
+        # any other ramp (a deliberate slow-down, a timed restore) changes
+        # nothing, so the kernel may skip that RAMP_DONE pass.
+        self.ramp_done_is_noop = True
         self.name = self._build_name()
 
     def _build_name(self) -> str:
@@ -111,7 +117,9 @@ class LpfpsScheduler(Scheduler):
 
     def setup(self, kernel) -> None:
         """Reset per-run state so one policy object can serve many runs."""
-        self._restoring = False
+        self.ramp_done_is_noop = True
+        # L14's timer lead, fixed per run.
+        self._wake_lead = kernel.spec.wakeup_delay * (1.0 + self.wakeup_margin)
 
     def schedule(self, kernel, event: SchedEvent) -> Decision:
         """One pass of the Figure-4 pseudo-code."""
@@ -120,33 +128,34 @@ class LpfpsScheduler(Scheduler):
         # is in flight.  Dispatching still waits for full speed, so the
         # observable schedule matches the paper; hoisting only keeps the
         # "pending request" state (and the engine's release bookkeeping)
-        # accurate during the ramp.
-        kernel.move_due_releases()
-        spec = kernel.spec
+        # accurate during the ramp.  A pass with nothing due skips the call.
+        heap = kernel.delay_queue._heap
+        if heap and heap[0][0] <= kernel.now + TIME_EPS:
+            kernel.move_due_releases()
 
-        if event is SchedEvent.RAMP_DONE and not self._restoring:
+        if event is _RAMP_DONE and self.ramp_done_is_noop:
             # End of a deliberate slow-down ramp: keep executing at the
             # reduced speed; nothing else changed.
             return NO_CHANGE
 
-        at_full_speed = kernel.speed >= 1.0 - _EPS and kernel.ramp_target is None
+        spec = kernel.spec
         restored_now = False
-        if not at_full_speed:
+        if not kernel.at_full_speed:
             if not spec.transition.instantaneous:
                 # L1–L4: raise the clock and supply voltage to maximum and
                 # exit; the body runs when the ramp-done event fires.
-                self._restoring = True
+                self.ramp_done_is_noop = False
                 return Decision(speed_target=1.0)
             # Zero-delay transitions: the restore completes immediately, so
             # fold it into this same scheduling pass.
             restored_now = True
-        self._restoring = False
+        self.ramp_done_is_noop = True
 
         # L8–L11: conventional fixed-priority dispatch.
         active = fixed_priority_dispatch(kernel)
 
         if active is None:
-            decision = self._idle_decision(kernel, spec)
+            decision = self._idle_decision(kernel)
             if restored_now and decision.sleep is None:
                 decision = Decision(run=None, speed_target=1.0)
             return decision
@@ -160,10 +169,10 @@ class LpfpsScheduler(Scheduler):
         return Decision(run=active)
 
     # -- L13–L15: power down with the timer armed at the next request ------
-    def _idle_decision(self, kernel, spec) -> Decision:
+    def _idle_decision(self, kernel) -> Decision:
         next_release = kernel.delay_queue.next_release_time()
         if self.use_powerdown and next_release is not None:
-            wake_at = next_release - spec.wakeup_delay * (1.0 + self.wakeup_margin)
+            wake_at = next_release - self._wake_lead
             if wake_at > kernel.now + _EPS:
                 return Decision(run=None, sleep=SleepRequest(until=wake_at))
         # Power-down disabled or not worthwhile: busy-wait until the release.
@@ -185,7 +194,7 @@ class LpfpsScheduler(Scheduler):
         else:
             ratio = heuristic_speed_ratio(remaining, window)
         # L18: smallest available clock frequency >= ratio * f_max.
-        speed = spec.quantized_speed(max(ratio, _EPS))
+        speed = spec.grid.speed_for_ratio(max(ratio, _EPS))
         if speed >= 1.0 - _EPS:
             return None
         if self.dual_level and not spec.grid.continuous:

@@ -141,10 +141,10 @@ def slowdown_window(
     two coincide).  Returns ``t_a_effective − now`` (may be <= 0 when no
     slack exists).
     """
-    bounds = [own_next_release, own_deadline]
-    if next_arrival is not None:
-        bounds.append(next_arrival)
-    return min(bounds) - now
+    end = own_deadline if own_deadline < own_next_release else own_next_release
+    if next_arrival is not None and next_arrival < end:
+        end = next_arrival
+    return end - now
 
 
 def _check_inputs(remaining: float, window: float) -> None:

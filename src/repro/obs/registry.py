@@ -48,8 +48,8 @@ class Registry:
         times one in every *sample* loop iterations and scales the
         recorded time back up).  ``1`` measures every iteration —
         exact, what ``lpfps profile`` uses; the default of
-        :data:`DEFAULT_SAMPLE` keeps always-on overhead under the 2%
-        budget documented in DESIGN.md §5d.
+        :data:`DEFAULT_SAMPLE` keeps span timing cheap.  Kernel counters
+        are not sampled: they are exact at any period (DESIGN.md §5d).
     """
 
     def __init__(self, enabled: bool = True, sample: int = 0) -> None:
@@ -218,8 +218,9 @@ class Registry:
 
 
 #: Default span sampling period for always-on collection (see DESIGN.md
-#: §5d: one timed kernel iteration in 64 keeps overhead under 2% —
-#: measured well under 1% on the CNC hot-loop benchmark).
+#: §5d: one timed kernel iteration in 64 keeps span timing under 2% —
+#: measured well under 1% on the CNC hot-loop benchmark; the exact
+#: kernel counters come on top).
 DEFAULT_SAMPLE = 64
 
 #: Shared always-off registry: safe to emit into from anywhere, drops

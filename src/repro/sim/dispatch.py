@@ -14,6 +14,7 @@ import abc
 from typing import Optional
 
 from .events import Decision, SchedEvent
+from .profile import TIME_EPS
 from .queues import RunQueueKey, priority_key
 from ..tasks.job import Job
 
@@ -33,6 +34,8 @@ class Scheduler(abc.ABC):
       tie-breaking keys);
     * :attr:`tick_interval` — optional periodic ``TICK`` scheduling
       points, for interval/polling policies;
+    * :attr:`ramp_done_is_noop` — whether a ``RAMP_DONE`` pass would
+      change nothing right now, so the kernel may skip it;
     * :meth:`setup` — one-time pre-run hook (default: no-op);
     * :meth:`schedule` — the scheduling-point handler (mandatory).
     """
@@ -45,6 +48,15 @@ class Scheduler(abc.ABC):
     requires_priorities: bool = True
     #: Period (µs) of engine-generated ``TICK`` events; ``None`` = no ticks.
     tick_interval: Optional[float] = None
+    #: ``True`` while this policy would answer ``RAMP_DONE`` with
+    #: :data:`~repro.sim.events.NO_CHANGE` and no other effect beyond
+    #: moving due releases.  The kernel then skips that pass, but only
+    #: when no release is due, no deferred sleep is pending, and the pass
+    #: is free (no ``scheduler_overhead``, no injecting fault layer), so
+    #: skipping is indistinguishable from running it.  A policy whose
+    #: answer depends on its own state keeps this attribute current as
+    #: that state changes.
+    ramp_done_is_noop: bool = False
 
     def setup(self, kernel) -> None:
         """Called once before the simulation starts (optional hook)."""
@@ -60,16 +72,18 @@ class Scheduler(abc.ABC):
 def fixed_priority_dispatch(kernel) -> Optional[Job]:
     """Lines L5–L11 of the paper: move due releases, then dispatch.
 
-    Moves every due task from the delay queue to the run queue, preempts
+    Moves every due task from the delay queue to the run queue (the
+    ``move_due_releases`` call is skipped when nothing is due), preempts
     the active job if the run-queue head has higher priority (pushing the
     active job back), and fills an empty processor from the queue head.
     Returns the job that should be active (or ``None``).
     """
-    if kernel._push_epoch != kernel._moved_epoch or kernel.now != kernel._moved_at:
+    heap = kernel.delay_queue._heap
+    if heap and heap[0][0] <= kernel.now + TIME_EPS:
         kernel.move_due_releases()
     active = kernel.active_job
-    heap = kernel.run_queue._heap
-    head = heap[0][2] if heap else None
+    queue = kernel.run_queue._heap
+    head = queue[0][2] if queue else None
     if active is not None and head is not None and head.priority < active.priority:
         active.preemptions += 1
         kernel.count_preemption()
@@ -86,11 +100,12 @@ def earliest_deadline_dispatch(kernel) -> Optional[Job]:
     Identical queue mechanics with the comparison on absolute deadlines;
     requires the run queue to be ordered by :func:`deadline_key`.
     """
-    if kernel._push_epoch != kernel._moved_epoch or kernel.now != kernel._moved_at:
+    heap = kernel.delay_queue._heap
+    if heap and heap[0][0] <= kernel.now + TIME_EPS:
         kernel.move_due_releases()
     active = kernel.active_job
-    heap = kernel.run_queue._heap
-    head = heap[0][2] if heap else None
+    queue = kernel.run_queue._heap
+    head = queue[0][2] if queue else None
     if (
         active is not None
         and head is not None

@@ -15,7 +15,7 @@ components:
 * :class:`~repro.sim.speed_control.SpeedController` — DVS ramp state
   machine, timed restores, the fault-aware speed write;
 * :class:`~repro.sim.sleep_control.SleepController` — wake-timer
-  programming, wake latency, deferred sleeps, PR 1's sleep guard;
+  programming, deferred sleeps, the sleep guard;
 * :class:`~repro.sim.power_accounting.PowerAccountant` — per-state
   energy integration and speed residency, feeding the audit;
 * :class:`~repro.sim.recording.Recorder` — segment/event capture, with
@@ -23,7 +23,7 @@ components:
 
 The engine object doubles as the *kernel view* handed to schedulers: its
 public attributes (``now``, ``run_queue``, ``delay_queue``,
-``active_job``, ``speed``, ``ramp_target``, ``spec``) and
+``active_job``, ``speed``, ``at_full_speed``, ``spec``) and
 :meth:`move_due_releases` are the sanctioned scheduler-facing API.
 """
 
@@ -47,7 +47,7 @@ from ..power.processor import ProcessorSpec
 from ..tasks.generation import ExecutionTimeModel, WcetModel
 from ..tasks.job import Job
 from ..tasks.task import Task, TaskSet
-from .events import NO_CHANGE, Decision, SchedEvent
+from .events import KEEP, NO_CHANGE, Decision, SchedEvent
 from .metrics import (
     DeadlineMiss,
     SimulationResult,
@@ -88,6 +88,10 @@ _DECISION_KINDS = (
     "sched.decisions.idle",
 )
 
+#: Obs counter for RAMP_DONE passes the kernel skipped because the policy
+#: declared them no-ops (``Scheduler.ramp_done_is_noop``).
+_SKIPPED_RAMP_DONE = "sched.skipped.ramp_done"
+
 
 def _decision_kind(decision: Decision) -> str:
     """Classify one decision for the per-decision obs counters."""
@@ -95,7 +99,7 @@ def _decision_kind(decision: Decision) -> str:
         return "sched.decisions.sleep"
     if decision.speed_target is not None:
         return "sched.decisions.speed"
-    if decision.keeps_active:
+    if decision.run is KEEP:
         return "sched.decisions.no_change"
     if decision.run is not None:
         return "sched.decisions.dispatch"
@@ -109,6 +113,18 @@ class _Mode(enum.Enum):
     IDLE = "idle"
     SLEEP = "sleep"
     WAKING = "waking"
+
+
+# Module aliases for the enum members the loop tests or passes on every
+# iteration: an attribute lookup on an ``Enum`` class costs ~0.1 µs on
+# CPython 3.11, a measurable share of one iteration.
+_RUNNING = _Mode.RUNNING
+_IDLE = _Mode.IDLE
+_SLEEP = _Mode.SLEEP
+_WAKING = _Mode.WAKING
+_COMPLETION = SchedEvent.COMPLETION
+_RELEASE = SchedEvent.RELEASE
+_RAMP_DONE = SchedEvent.RAMP_DONE
 
 
 class Simulator:
@@ -229,11 +245,18 @@ class Simulator:
         self._speed_ctrl = SpeedController(self.spec, faults, recorder)
         self._sleep_ctrl = SleepController(faults, recorder)
         self._acct = PowerAccountant(self.spec.power)
+        # Fixed per run; read on every ramp span and every wake-up.
+        self._executes_during_change = self.spec.transition.executes_during_change
+        self._wakeup_delay = self.spec.wakeup_delay
 
         # -- fault layer and guards -------------------------------------------
         self._faults = faults
         self._guards = faults.guards if faults is not None else GuardConfig.none()
         self._injecting = faults is not None and faults.injects
+        # A scheduler pass has a side effect of its own when it is charged
+        # processor time or draws from the fault RNG; only free passes may
+        # be skipped when the policy declares their answer a no-op.
+        self._free_passes = scheduler_overhead == 0.0 and not self._injecting
         # Guard flags hoisted off the per-boundary paths (fixed per run).
         self._watchdog_on = self._guards.overrun_watchdog
         self._abort_mode = self._guards.miss_policy == "abort"
@@ -245,9 +268,9 @@ class Simulator:
         # -- observability ----------------------------------------------------
         self._obs = obs if (obs is not None and obs.enabled) else None
         #: True while the current loop iteration is being span-timed.
-        #: All phase timing AND counting happens only on live iterations,
-        #: then is scaled back up by the sampling ratio at flush — so at
-        #: sample>1 counters are estimates, at sample=1 they are exact.
+        #: Phase timing happens only on live iterations and is scaled back
+        #: up by the sampling ratio at flush; counters are kept on every
+        #: iteration, so they are exact at any sampling period.
         self._obs_live = False
         if self._obs is not None:
             self._obs_period = max(1, self._obs.sample)
@@ -257,21 +280,21 @@ class Simulator:
             counts = {key: 0 for key in _EVENT_COUNT_KEYS.values()}
             counts.update({kind: 0 for kind in _DECISION_KINDS})
             counts["kernel.releases"] = 0
+            counts[_SKIPPED_RAMP_DONE] = 0
             self._obs_counts: Optional[Dict[str, int]] = counts
             self._obs_boundary: Dict[str, int] = {}
             self._obs_iter = 0
             self._obs_sampled_iters = 0
-            # Setup/INIT contributions (recorded live, outside sampling)
-            # are snapshotted in run() so flush can exclude them from the
-            # sampling scale-up; these defaults cover the no-run case.
+            # Setup/INIT phase time (timed live, outside sampling) is
+            # snapshotted in run() so flush can exclude it from the
+            # sampling scale-up; this default covers the no-run case.
             self._obs_init_phase = {name: [0.0, 0.0] for name in _OBS_PHASES}
-            self._obs_init_counts = dict(counts)
         else:
             self._obs_phase = None
             self._obs_counts = None
 
         # -- engine-private state ---------------------------------------------
-        self._mode = _Mode.IDLE
+        self._mode = _IDLE
         # move_due_releases memo: the call is idempotent within one
         # scheduling point, so repeat calls at the same instant with no
         # intervening delay-queue pushes can return immediately.
@@ -297,9 +320,10 @@ class Simulator:
         return self._speed_ctrl.speed
 
     @property
-    def ramp_target(self) -> Optional[float]:
-        """Target speed of the ramp in progress, or ``None``."""
-        return self._speed_ctrl.ramp_target
+    def at_full_speed(self) -> bool:
+        """True when the clock sits at full speed with no ramp in flight."""
+        speed_ctrl = self._speed_ctrl
+        return speed_ctrl.ramp is None and speed_ctrl.speed >= 1.0 - 1e-9
 
     @property
     def energy(self):
@@ -345,12 +369,12 @@ class Simulator:
             if self._rec_on:
                 self._recorder.event(now, "release", job.name)
             released.append(job)
-        if obs_live:
-            if released:
-                self._obs_counts["kernel.releases"] += len(released)
-            acc = self._obs_phase["release"]
-            acc[0] += perf_counter() - _t0
-            acc[1] += 1.0
+        if self._obs_counts is not None:
+            self._obs_counts["kernel.releases"] += len(released)
+            if obs_live:
+                acc = self._obs_phase["release"]
+                acc[0] += perf_counter() - _t0
+                acc[1] += 1.0
         return released
 
     def count_preemption(self) -> None:
@@ -393,9 +417,8 @@ class Simulator:
         self.scheduler.setup(self)
         self._invoke_scheduler(SchedEvent.INIT)
         if obs_on:
-            # One-time setup/INIT work was recorded live but outside the
+            # One-time setup/INIT work was timed live but outside the
             # loop's sampling; snapshot it so flush keeps it unscaled.
-            self._obs_init_counts = dict(self._obs_counts)
             self._obs_init_phase = {
                 name: list(acc) for name, acc in self._obs_phase.items()
             }
@@ -412,6 +435,7 @@ class Simulator:
         # self-times sum to the loop's wall time (profile's invariant).
         live = False
         phase = self._obs_phase
+        boundary = self._obs_boundary if obs_on else None
         while self.now < cutoff:
             if obs_on:
                 k = self._obs_iter
@@ -427,12 +451,12 @@ class Simulator:
                     self._obs_live = True
                     _t1 = _t0 = perf_counter()
             t_next, reason = next_boundary()
-            if live:
-                _t1 = perf_counter()
-                acc = phase["scan"]
-                acc[0] += _t1 - _t0
-                acc[1] += 1.0
-                boundary = self._obs_boundary
+            if obs_on:
+                if live:
+                    _t1 = perf_counter()
+                    acc = phase["scan"]
+                    acc[0] += _t1 - _t0
+                    acc[1] += 1.0
                 boundary[reason] = boundary.get(reason, 0) + 1
             if t_next > horizon:
                 t_next = horizon
@@ -442,18 +466,13 @@ class Simulator:
                     f"time would run backwards: {now} -> {t_next} ({reason})"
                 )
             if t_next > now + _TIME_EPS:
-                # Advance: integrate work/energy over [now, t_next], split
-                # at the ramp end so each span has one linear speed law.
+                # Advance: integrate work/energy over [now, t_next].  A
+                # ramp end is always a boundary candidate, so the span has
+                # one linear speed law.
                 ramp = speed_ctrl.ramp
+                integrate(now, t_next)
                 if ramp is not None:
-                    t0 = now
-                    if t0 < ramp.end_time < t_next - _TIME_EPS:
-                        integrate(t0, ramp.end_time)
-                        t0 = ramp.end_time
-                    integrate(t0, t_next)
                     speed_ctrl.finish_ramp_if_past(t_next)
-                else:
-                    integrate(now, t_next)
                 stall = 0
                 if live:
                     _t2 = perf_counter()
@@ -496,16 +515,12 @@ class Simulator:
         """
         best_t, best_r = self.horizon, "horizon"
         mode = self._mode
-        if mode is _Mode.SLEEP:
+        if mode is _SLEEP:
             for t, reason in self._sleep_ctrl.wake_candidates(
                 self.delay_queue, self._guards
             ):
                 if t < best_t:
                     best_t, best_r = t, reason
-        elif mode is _Mode.WAKING:
-            wake_end = self._sleep_ctrl.wake_end
-            if wake_end < best_t:
-                best_t, best_r = wake_end, "wake"
         else:
             heap = self.delay_queue._heap
             if heap and heap[0][0] < best_t:
@@ -585,11 +600,14 @@ class Simulator:
             s0 = s1 = speed_ctrl.speed
 
         mode = self._mode
-        if mode is _Mode.RUNNING:
+        if mode is _RUNNING:
             job = self.active_job
             if ramping:
-                if self.spec.transition.executes_during_change:
-                    work = ramp.work_between(t0, t1)
+                if self._executes_during_change:
+                    # The span lies inside the ramp (a ramp starts at the
+                    # current time and its end is always a boundary), so
+                    # ramp.work_between(t0, t1) is this trapezoid.
+                    work = 0.5 * (s0 + s1) * dt
                 else:
                     work = 0.0
                 acct.run_ramp(s0, s1, dt)
@@ -604,18 +622,18 @@ class Simulator:
                 job.executed = job.execution_time
             if self._rec_on:
                 self._recorder.segment(t0, t1, "run", job.name, job.task.name, s0, s1)
-        elif mode is _Mode.IDLE:
+        elif mode is _IDLE:
             if ramping:
                 acct.run_ramp(s0, s1, dt)
             else:
                 acct.idle(speed_ctrl.speed, dt)
             if self._rec_on:
                 self._recorder.segment(t0, t1, "idle", None, None, s0, s1)
-        elif mode is _Mode.SLEEP:
+        elif mode is _SLEEP:
             acct.sleep(dt)
             if self._rec_on:
                 self._recorder.segment(t0, t1, "sleep", None, None, s0, s1)
-        elif mode is _Mode.WAKING:
+        elif mode is _WAKING:
             # Charge full active power while the core relocks (conservative).
             acct.wakeup(dt)
             if self._rec_on:
@@ -628,7 +646,7 @@ class Simulator:
         now = self.now
         mode = self._mode
         sleep_ctrl = self._sleep_ctrl
-        if mode is _Mode.SLEEP:
+        if mode is _SLEEP:
             obs_live = self._obs_live
             if obs_live:
                 _t0 = perf_counter()
@@ -646,15 +664,9 @@ class Simulator:
             if action is WAKE:
                 self._begin_wake()
             return
-        if mode is _Mode.WAKING:
-            if now >= sleep_ctrl.wake_end - _TIME_EPS:
-                self._mode = _Mode.IDLE
-                sleep_ctrl.wake_end = None
-                self._invoke_scheduler(SchedEvent.WAKE)
-            return
         if (
             sleep_ctrl.pending_at is not None
-            and mode is _Mode.IDLE
+            and mode is _IDLE
             and now >= sleep_ctrl.pending_at - _TIME_EPS
         ):
             obs_live = self._obs_live
@@ -675,7 +687,7 @@ class Simulator:
                 remaining = 0.0
             if remaining <= _WORK_EPS:
                 self._complete_active()
-                self._invoke_scheduler(SchedEvent.COMPLETION)
+                self._invoke_scheduler(_COMPLETION)
                 return
         if (
             job is not None
@@ -716,7 +728,7 @@ class Simulator:
                 return
         heap = self.delay_queue._heap
         if heap and now >= heap[0][0] - _TIME_EPS:
-            self._invoke_scheduler(SchedEvent.RELEASE)
+            self._invoke_scheduler(_RELEASE)
             return
         if self._next_tick is not None and now >= self._next_tick - _TIME_EPS:
             while self._next_tick <= now + _TIME_EPS:
@@ -724,26 +736,48 @@ class Simulator:
             self._invoke_scheduler(SchedEvent.TICK)
             return
         if speed_ctrl.ramp is None:
-            # A ramp that just finished in _advance cleared itself; if no
-            # other boundary explains the stop, report RAMP_DONE.
-            self._invoke_scheduler(SchedEvent.RAMP_DONE)
+            # A ramp that just finished in the advance step cleared itself;
+            # no other boundary explains the stop, so this is RAMP_DONE.
+            # Skip the pass when it is free and the policy declared its
+            # answer NO_CHANGE.  Skipping must equal running it: applying
+            # NO_CHANGE clears a deferred sleep, and the pass may move due
+            # releases, so neither may be pending.
+            if (
+                self._free_passes
+                and self.scheduler.ramp_done_is_noop
+                and sleep_ctrl.pending_at is None
+                and not (heap and heap[0][0] <= now + _TIME_EPS)
+            ):
+                if self._obs_counts is not None:
+                    self._obs_counts[_SKIPPED_RAMP_DONE] += 1
+                return
+            self._invoke_scheduler(_RAMP_DONE)
 
     def _begin_wake(self) -> None:
+        """Leave power-down: relock for ``wakeup_delay``, then pass ``WAKE``.
+
+        Nothing can end the relock window but its own expiry, so it is
+        integrated here and the ``WAKE`` pass runs in the same loop
+        iteration as the timer or interrupt that woke the core.  A window
+        that reaches the horizon ends the run instead.
+        """
         self._sleep_ctrl.clear_timer()
-        delay = self.spec.wakeup_delay
-        if delay <= 0:
-            self._mode = _Mode.IDLE
+        now = self.now
+        end = min(now + self._wakeup_delay, self.horizon)
+        if end > now + _TIME_EPS:
+            self._mode = _WAKING
+            self._integrate(now, end)
+        self.now = end
+        self._mode = _IDLE
+        if end < self.horizon - _TIME_EPS:
             self._invoke_scheduler(SchedEvent.WAKE)
-            return
-        self._mode = _Mode.WAKING
-        self._sleep_ctrl.wake_end = self.now + delay
 
     def _enter_sleep(self, until: Optional[float]) -> None:
         if self.active_job is not None:
             raise SimulationError("cannot power down with an active job")
         # A sleeping core is not ramping; freeze the speed where it stands.
         self._speed_ctrl.freeze(self.now)
-        self._mode = _Mode.SLEEP
+        self._mode = _SLEEP
         self._sleep_ctrl.arm(self.now, until)
 
     def _complete_active(self) -> None:
@@ -769,7 +803,7 @@ class Simulator:
         """
         job = self.active_job
         self.active_job = None
-        self._mode = _Mode.IDLE
+        self._mode = _IDLE
         self._record_guard(
             "containment",
             f"aborted at deadline with {job.remaining:.3f}us unexecuted",
@@ -814,23 +848,25 @@ class Simulator:
         obs_live = self._obs_live
         if obs_live:
             _t0 = perf_counter()
-        overhead = self._overhead
-        if self._injecting:
-            self._faults.advance_clock(self.now)
-            overhead += self._faults.overhead_spike()
-        if overhead > 0.0:
-            self._consume_overhead(overhead)
+        if not self._free_passes:
+            overhead = self._overhead
+            if self._injecting:
+                self._faults.advance_clock(self.now)
+                overhead += self._faults.overhead_spike()
+            if overhead > 0.0:
+                self._consume_overhead(overhead)
         decision = self._schedule_fn(self, event)
         if decision is None:
             decision = NO_CHANGE
         self._apply(decision)
-        if obs_live:
-            counts = self._obs_counts
+        counts = self._obs_counts
+        if counts is not None:
             counts[_EVENT_COUNT_KEYS[event]] += 1
             counts[_decision_kind(decision)] += 1
-            acc = self._obs_phase["dispatch"]
-            acc[0] += perf_counter() - _t0
-            acc[1] += 1.0
+            if obs_live:
+                acc = self._obs_phase["dispatch"]
+                acc[0] += perf_counter() - _t0
+                acc[1] += 1.0
 
     def _consume_overhead(self, overhead: float) -> None:
         """Charge one scheduler invocation's processor time.
@@ -864,11 +900,10 @@ class Simulator:
         # decision that actually changes the schedule (dispatch, speed, or
         # sleep) cancels it; a pure no-change decision preserves it.
         speed_ctrl = self._speed_ctrl
-        sleep = decision.sleep
-        target = decision.speed_target
-        keeps_active = decision.keeps_active
-        if decision.restore_at is not None:
-            speed_ctrl.arm_restore(decision.restore_at, decision.restore_target)
+        new_job, target, sleep, restore_at, restore_target = decision
+        keeps_active = new_job is KEEP
+        if restore_at is not None:
+            speed_ctrl.arm_restore(restore_at, restore_target)
         elif speed_ctrl.restore_at is not None and (
             sleep is not None or target is not None or not keeps_active
         ):
@@ -880,7 +915,7 @@ class Simulator:
                     "scheduler requested power-down with an active job"
                 )
             if sleep.start_at is not None and sleep.start_at > self.now + _TIME_EPS:
-                self._mode = _Mode.IDLE
+                self._mode = _IDLE
                 self._sleep_ctrl.defer(sleep.start_at, sleep.until)
             else:
                 self._enter_sleep(sleep.until)
@@ -891,13 +926,12 @@ class Simulator:
             sleep_ctrl.clear_pending()
 
         if not keeps_active:
-            new_job = decision.run
             if new_job is not self.active_job:
                 old = self.active_job
                 if (
                     old is not None
                     and not old.completed
-                    and not any(j is old for j in self.run_queue.jobs())
+                    and not any(entry[2] is old for entry in self.run_queue._heap)
                 ):
                     # A scheduler must park the preempted job in the run
                     # queue itself (paper L8–L10); silently dropping it
@@ -913,7 +947,7 @@ class Simulator:
                     if self._rec_on:
                         self._recorder.event(self.now, "dispatch", new_job.name)
                 self.active_job = new_job
-        self._mode = _Mode.RUNNING if self.active_job is not None else _Mode.IDLE
+        self._mode = _RUNNING if self.active_job is not None else _IDLE
 
         if target is not None:
             speed_ctrl.set_target(self.now, target)
@@ -951,15 +985,16 @@ class Simulator:
     def _flush_obs(self, wall_s: float) -> None:
         """Fold the run's local accumulators into the obs registry.
 
-        The engine batches phase times and decision counts in plain
-        dicts while running (only on sampled "live" iterations) and hands
-        them to the (locked) registry exactly once, so instrumentation
-        cost stays in the accumulators, not in lock traffic.  Sampled
-        accumulations — times AND counts — are scaled back up by the
-        sampling ratio, minus the one-time setup/INIT snapshot, which was
-        recorded live outside the loop and must stay unscaled.  At
-        ``sample=1`` (``lpfps profile``) the factor is 1, so everything
-        is exact.
+        The engine batches phase times and counts in plain dicts while
+        running and hands them to the (locked) registry exactly once, so
+        instrumentation cost stays in the accumulators, not in lock
+        traffic.  Counters (passes, decisions, releases, boundary
+        reasons) were kept on every iteration and are exported as they
+        stand.  Phase times and span counts were taken only on sampled
+        "live" iterations, so they are scaled back up by the sampling
+        ratio, minus the one-time setup/INIT snapshot, which was timed
+        live outside the loop and must stay unscaled.  At ``sample=1``
+        (``lpfps profile``) the factor is 1.
 
         Exported span self-times tile the event loop: ``dispatch`` is
         reported exclusive of the release scans schedulers trigger, and
@@ -1022,14 +1057,11 @@ class Simulator:
         ):
             if count:
                 obs.span_add(name, total_s, count, self_s=self_s)
-        init_counts = self._obs_init_counts
         for name, value in self._obs_counts.items():
-            base = init_counts.get(name, 0)
-            estimate = base + int(round((value - base) * factor))
-            if estimate:
-                obs.count(name, estimate)
+            if value:
+                obs.count(name, value)
         for reason, value in self._obs_boundary.items():
-            obs.count("kernel.boundary." + reason, int(round(value * factor)))
+            obs.count("kernel.boundary." + reason, value)
         obs.count("kernel.iterations", total_iters)
         obs.count("kernel.sampled_iterations", sampled)
         obs.gauge("kernel.sample_period", float(period))

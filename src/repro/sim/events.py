@@ -14,7 +14,7 @@ pick a speed (L17–L19) or a sleep interval (L13–L15).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Union, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -42,20 +42,35 @@ class SchedEvent(enum.Enum):
     #: successor exactly as after a completion.
     ABORT = "abort"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # exact; it keeps the kernel's per-pass obs tally (a dict keyed by
+    # event) off ``Enum.__hash__``, which is Python-level.
+    __hash__ = object.__hash__
+
 
 class _KeepActive:
-    """Sentinel: the decision leaves the active job untouched."""
+    """Sentinel: the decision leaves the active job untouched.
+
+    A singleton, tested by identity (``run is KEEP``); it pickles and
+    copies as a reference to :data:`KEEP`, so identity survives both.
+    """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "KEEP"
+
+    def __reduce__(self) -> str:
         return "KEEP"
 
 
 #: Pass as ``Decision.run`` to keep whatever job is currently active.
 KEEP = _KeepActive()
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class SleepRequest:
+
+class SleepRequest(
+    namedtuple("SleepRequest", ("until", "start_at"), defaults=(None, None))
+):
     """Enter power-down mode.
 
     Parameters
@@ -72,16 +87,20 @@ class SleepRequest:
         ``None`` (default) powers down immediately.
     """
 
-    until: Optional[float] = None
-    start_at: Optional[float] = None
+    __slots__ = ()
 
 
-class Decision:
+class Decision(
+    namedtuple(
+        "Decision", ("run", "speed_target", "sleep", "restore_at", "restore_target")
+    )
+):
     """A scheduler's answer at a scheduling point.
 
-    Immutable (attribute assignment raises) with ``__slots__`` storage; the
-    hand-written constructor keeps the kernel's hottest allocation — one
-    ``Decision`` per scheduler invocation — off the dataclass machinery.
+    An immutable record: a tuple subclass, so the kernel's hottest
+    allocation — one ``Decision`` per scheduler pass — is a single
+    ``tuple.__new__`` and attribute assignment raises.  Only fields given
+    a non-default value are validated.
 
     Attributes
     ----------
@@ -109,70 +128,37 @@ class Decision:
         restore).
     """
 
-    __slots__ = ("run", "speed_target", "sleep", "restore_at", "restore_target")
+    __slots__ = ()
 
-    run: Union["Job", None, _KeepActive]
-    speed_target: Optional[float]
-    sleep: Optional[SleepRequest]
-    restore_at: Optional[float]
-    restore_target: float
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         run: Union["Job", None, _KeepActive] = KEEP,
         speed_target: Optional[float] = None,
         sleep: Optional[SleepRequest] = None,
         restore_at: Optional[float] = None,
         restore_target: float = 1.0,
-    ) -> None:
-        if sleep is not None and run is not None and not isinstance(run, _KeepActive):
-            raise ValueError("cannot run a job and power down simultaneously")
+    ) -> "Decision":
+        if sleep is not None:
+            if run is not None and run is not KEEP:
+                raise ValueError("cannot run a job and power down simultaneously")
+            if restore_at is not None:
+                raise ValueError("cannot arm a speed restore while powering down")
         if speed_target is not None and not 0 < speed_target <= 1 + 1e-12:
             raise ValueError(
                 f"speed_target must be in (0, 1], got {speed_target}"
             )
-        if restore_at is not None and sleep is not None:
-            raise ValueError("cannot arm a speed restore while powering down")
-        if not 0 < restore_target <= 1 + 1e-12:
+        if restore_target != 1.0 and not 0 < restore_target <= 1 + 1e-12:
             raise ValueError(
                 f"restore_target must be in (0, 1], got {restore_target}"
             )
-        object.__setattr__(self, "run", run)
-        object.__setattr__(self, "speed_target", speed_target)
-        object.__setattr__(self, "sleep", sleep)
-        object.__setattr__(self, "restore_at", restore_at)
-        object.__setattr__(self, "restore_target", restore_target)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Decision is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Decision is immutable")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Decision(run={self.run!r}, speed_target={self.speed_target!r}, "
-            f"sleep={self.sleep!r}, restore_at={self.restore_at!r}, "
-            f"restore_target={self.restore_target!r})"
+        return _tuple_new(
+            cls, (run, speed_target, sleep, restore_at, restore_target)
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Decision):
-            return NotImplemented
-        return (
-            self.run == other.run
-            and self.speed_target == other.speed_target
-            and self.sleep == other.sleep
-            and self.restore_at == other.restore_at
-            and self.restore_target == other.restore_target
-        )
-
-    __hash__ = None  # type: ignore[assignment]  # mutable-equality semantics
 
     @property
     def keeps_active(self) -> bool:
         """True when the decision leaves the active job untouched."""
-        return isinstance(self.run, _KeepActive)
+        return self.run is KEEP
 
 
 #: Convenience singleton: leave everything untouched.

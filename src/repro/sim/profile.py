@@ -12,8 +12,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: Absolute tolerance (µs) for event simultaneity — two boundaries closer
 #: than this are the same scheduling point.  Shared by the kernel and its
@@ -22,13 +21,14 @@ TIME_EPS = 1e-9
 #: Remaining-work threshold (full-speed µs) below which a job is complete.
 WORK_EPS = 1e-6
 
-#: ``dataclass(slots=...)`` needs Python 3.10; 3.9 gets a dict-backed Ramp.
-_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True, **_SLOTS)
-class Ramp:
+class Ramp(namedtuple("Ramp", ("start_time", "end_time", "from_speed", "to_speed"))):
     """A linear speed ramp between two scheduling targets.
+
+    An immutable tuple record (built once per speed change, read on every
+    boundary while it is in flight).
 
     Attributes
     ----------
@@ -38,14 +38,14 @@ class Ramp:
         Speed ratios at the bounds.
     """
 
-    start_time: float
-    end_time: float
-    from_speed: float
-    to_speed: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.end_time < self.start_time:
+    def __new__(
+        cls, start_time: float, end_time: float, from_speed: float, to_speed: float
+    ) -> "Ramp":
+        if end_time < start_time:
             raise ValueError("ramp must not end before it starts")
+        return _tuple_new(cls, (start_time, end_time, from_speed, to_speed))
 
     @property
     def duration(self) -> float:
@@ -55,30 +55,35 @@ class Ramp:
     @property
     def slope(self) -> float:
         """Signed speed change per µs (0 for a zero-length ramp)."""
-        if self.duration == 0.0:
+        start, end, s0, s1 = self
+        duration = end - start
+        if duration == 0.0:
             return 0.0
-        return (self.to_speed - self.from_speed) / self.duration
+        return (s1 - s0) / duration
 
     def speed_at(self, t: float) -> float:
         """Instantaneous speed ratio at absolute time *t* (clamped)."""
-        if t <= self.start_time:
-            return self.from_speed
-        if t >= self.end_time:
-            return self.to_speed
-        return self.from_speed + self.slope * (t - self.start_time)
+        start, end, s0, s1 = self
+        if t <= start:
+            return s0
+        if t >= end:
+            return s1
+        # Strictly inside, so the duration is positive: ``slope`` inlined.
+        return s0 + (s1 - s0) / (end - start) * (t - start)
 
     def work_between(self, t0: float, t1: float) -> float:
         """Full-speed µs retired between *t0* and *t1* (trapezoid; exact)."""
         if t1 < t0:
             raise ValueError(f"segment reversed: [{t0}, {t1}]")
-        lo, hi = max(t0, self.start_time), min(t1, self.end_time)
+        start, end, s0, s1 = self
+        lo, hi = max(t0, start), min(t1, end)
         inside = max(0.0, hi - lo)
         work = 0.5 * (self.speed_at(lo) + self.speed_at(hi)) * inside
         # Portions outside the ramp run at the boundary speeds.
-        if t0 < self.start_time:
-            work += self.from_speed * (min(t1, self.start_time) - t0)
-        if t1 > self.end_time:
-            work += self.to_speed * (t1 - max(t0, self.end_time))
+        if t0 < start:
+            work += s0 * (min(t1, start) - t0)
+        if t1 > end:
+            work += s1 * (t1 - max(t0, end))
         return work
 
     def time_to_complete(self, now: float, remaining: float) -> float:

@@ -3,8 +3,7 @@
 One :class:`SleepController` owns the power-down timer state: the armed
 wake-up timer (possibly perturbed by a fault injector), the wake time the
 scheduler *intended* (the sleep guard's reference), deferred sleep
-requests (``SleepRequest.start_at``), the wake-latency window, and the
-sleep-entry counter.
+requests (``SleepRequest.start_at``), and the sleep-entry counter.
 
 The kernel stays in charge of the processor macro-state; this component
 answers two questions for it:
@@ -43,7 +42,6 @@ class SleepController:
         "intended",
         "pending_at",
         "pending_until",
-        "wake_end",
         "entries",
         "_faults",
         "_injecting",
@@ -61,8 +59,6 @@ class SleepController:
         #: the timer aimed at ``pending_until``.
         self.pending_at: Optional[float] = None
         self.pending_until: Optional[float] = None
-        #: End of the wake-up latency window while relocking.
-        self.wake_end: Optional[float] = None
         #: Number of completed power-down entries.
         self.entries: int = 0
         self._faults = faults

@@ -65,11 +65,6 @@ class SpeedController:
         self._recorder = recorder
 
     # -- queries ----------------------------------------------------------
-    @property
-    def ramp_target(self) -> Optional[float]:
-        """Target speed of the ramp in progress, or ``None``."""
-        return self.ramp.to_speed if self.ramp is not None else None
-
     def current_target(self) -> float:
         """The speed the processor is at or heading toward."""
         return self.ramp.to_speed if self.ramp is not None else self.speed
@@ -135,12 +130,14 @@ class SpeedController:
         DVS fault injectors — the one direct full-speed write a safety
         kernel must trust (the overrun watchdog's fail-safe snap).
         """
-        current_target = self.ramp.to_speed if self.ramp is not None else self.speed
+        ramp = self.ramp
+        if ramp is not None:
+            current_target = ramp.to_speed
+            start_speed = ramp.speed_at(now)
+        else:
+            current_target = start_speed = self.speed
         if abs(target - current_target) <= 1e-12:
             return
-        start_speed = (
-            self.ramp.speed_at(now) if self.ramp is not None else self.speed
-        )
         if faultable and self._injecting:
             # DVS hardware faults: the regulator may drop or clamp the
             # request.

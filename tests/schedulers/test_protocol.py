@@ -2,7 +2,8 @@
 
 The kernel reads the policy surface directly — ``name``,
 ``run_queue_key``, ``requires_priorities``, ``tick_interval``,
-``setup``, ``schedule`` — with no ``getattr`` fallbacks, so every
+``ramp_done_is_noop``, ``setup``, ``schedule`` — with no ``getattr``
+fallbacks, so every
 registered policy must carry every member with a sane type.  These tests
 pin that for the whole registry, plus the abstractness of the base class
 and the setup hook actually being invoked.
@@ -54,6 +55,11 @@ class TestContractSurface:
         assert tick is None or (isinstance(tick, float) and tick > 0)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_ramp_done_is_noop_is_bool(self, name):
+        scheduler = make_scheduler(name)
+        assert isinstance(scheduler.ramp_done_is_noop, bool)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
     def test_setup_accepts_kernel(self, name):
         scheduler = make_scheduler(name)
         sig = inspect.signature(scheduler.setup)
@@ -76,6 +82,7 @@ class TestBaseClass:
     def test_base_defaults(self):
         assert Scheduler.requires_priorities is True
         assert Scheduler.tick_interval is None
+        assert Scheduler.ramp_done_is_noop is False
 
     def test_setup_is_invoked_before_first_decision(self):
         calls = []
@@ -105,10 +112,13 @@ class TestBaseClass:
 class TestEndToEnd:
     @pytest.mark.parametrize("name", [n for n in ALL_NAMES if n != "yds"])
     def test_registry_policy_completes_a_run(self, name):
+        scheduler = make_scheduler(name)
         result = simulate(
             example_taskset(),
-            make_scheduler(name),
+            scheduler,
             duration=400.0,
             on_miss="record",
         )
         assert result.jobs_completed > 0
+        # A policy that keeps ramp_done_is_noop current keeps it a bool.
+        assert isinstance(scheduler.ramp_done_is_noop, bool)

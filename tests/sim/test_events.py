@@ -46,6 +46,38 @@ class TestDecision:
         with pytest.raises(ValueError):
             Decision(speed_target=1.5)
 
+    def test_restore_fields_validated(self):
+        Decision(restore_at=5.0, restore_target=0.5)
+        with pytest.raises(ValueError):
+            Decision(restore_target=0.0)
+        with pytest.raises(ValueError):
+            Decision(restore_target=float("nan"))
+        with pytest.raises(ValueError):
+            Decision(run=None, sleep=SleepRequest(until=100.0), restore_at=50.0)
+
+    def test_immutable(self):
+        d = Decision(run=None)
+        for name in ("run", "speed_target", "sleep", "restore_at", "restore_target"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
+            with pytest.raises(AttributeError):
+                delattr(d, name)
+        with pytest.raises(AttributeError):
+            d.extra = 1
+
+    def test_keep_survives_pickle_and_copy(self):
+        import copy
+        import pickle
+
+        assert pickle.loads(pickle.dumps(NO_CHANGE)).keeps_active
+        assert copy.deepcopy(Decision()).run is KEEP
+
+    def test_value_equality(self):
+        job = _job()
+        assert Decision(run=job) == Decision(run=job)
+        assert Decision(run=job) != Decision(run=None)
+        assert Decision() == NO_CHANGE
+
 
 class TestSleepRequest:
     def test_defaults(self):
@@ -56,3 +88,9 @@ class TestSleepRequest:
     def test_threshold_style(self):
         req = SleepRequest(until=None, start_at=150.0)
         assert req.start_at == 150.0
+
+    def test_immutable(self):
+        req = SleepRequest(until=100.0)
+        with pytest.raises(AttributeError):
+            req.until = 5.0
+        assert req == SleepRequest(until=100.0)

@@ -63,6 +63,19 @@ class TestRamp:
         with pytest.raises(ValueError):
             Ramp(start_time=10.0, end_time=5.0, from_speed=0.5, to_speed=1.0)
 
+    def test_immutable(self):
+        ramp = self._ramp()
+        with pytest.raises(AttributeError):
+            ramp.end_time = 120.0
+        assert ramp == self._ramp()
+
+    def test_speed_at_matches_slope(self):
+        ramp = self._ramp()
+        for t in (100.5, 103.0, 109.99):
+            assert ramp.speed_at(t) == ramp.from_speed + ramp.slope * (
+                t - ramp.start_time
+            )
+
 
 class TestRampCompletion:
     def test_completes_within_upward_ramp(self):
