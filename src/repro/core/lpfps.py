@@ -160,33 +160,37 @@ class LpfpsScheduler(Scheduler):
                 decision = Decision(run=None, speed_target=1.0)
             return decision
 
-        if kernel.run_queue.empty and self.use_dvs:
+        if not kernel.run_queue._heap and self.use_dvs:
             decision = self._lone_task_decision(kernel, spec, active)
             if decision is not None:
                 return decision
         if restored_now:
-            return Decision(run=active, speed_target=1.0)
-        return Decision(run=active)
+            return Decision(active, 1.0)
+        return Decision(active)
 
     # -- L13–L15: power down with the timer armed at the next request ------
     def _idle_decision(self, kernel) -> Decision:
-        next_release = kernel.delay_queue.next_release_time()
-        if self.use_powerdown and next_release is not None:
-            wake_at = next_release - self._wake_lead
+        heap = kernel.delay_queue._heap
+        if self.use_powerdown and heap:
+            wake_at = heap[0][0] - self._wake_lead
             if wake_at > kernel.now + _EPS:
-                return Decision(run=None, sleep=SleepRequest(until=wake_at))
+                return Decision(None, None, SleepRequest(wake_at))
         # Power-down disabled or not worthwhile: busy-wait until the release.
-        return Decision(run=None)
+        return Decision(None)
 
     # -- L16–L19: stretch the lone active task over its private window -----
     def _lone_task_decision(self, kernel, spec, active):
+        task = active.task
+        heap = kernel.delay_queue._heap
         window = slowdown_window(
-            now=kernel.now,
-            next_arrival=kernel.delay_queue.next_release_time(),
-            own_next_release=active.release_time + active.task.period,
-            own_deadline=active.absolute_deadline,
+            kernel.now,
+            heap[0][0] if heap else None,
+            active.release_time + task.period,
+            active.absolute_deadline,
         )
-        remaining = active.remaining_wcet
+        # C_i - E_i; ``Job.remaining_wcet`` clamps it at 0, which the
+        # no-slack test below already covers.
+        remaining = task.wcet - active.executed
         if remaining <= _EPS or window <= remaining + _EPS:
             return None  # no usable slack; run at full speed
         if self.speed_policy == "optimal":
@@ -207,8 +211,8 @@ class LpfpsScheduler(Scheduler):
             restore_at = (kernel.now + window) - (1.0 - speed) / spec.transition.rho
             if restore_at <= kernel.now + _EPS:
                 return None  # no room for the return ramp: stay at full speed
-            return Decision(run=active, speed_target=speed, restore_at=restore_at)
-        return Decision(run=active, speed_target=speed)
+            return Decision(active, speed, None, restore_at)
+        return Decision(active, speed)
 
     def _dual_level_decision(self, kernel, spec, active, ratio, window):
         """Ishihara–Yasuura split: run the two grid levels adjacent to the

@@ -20,4 +20,4 @@ class FpsScheduler(Scheduler):
     def schedule(self, kernel, event: SchedEvent) -> Decision:
         """Dispatch by fixed priority; never touch speed or power state."""
         active = fixed_priority_dispatch(kernel)
-        return Decision(run=active)
+        return Decision(active)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import defaultdict
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -47,7 +48,7 @@ from ..power.processor import ProcessorSpec
 from ..tasks.generation import ExecutionTimeModel, WcetModel
 from ..tasks.job import Job
 from ..tasks.task import Task, TaskSet
-from .events import KEEP, NO_CHANGE, Decision, SchedEvent
+from .events import KEEP, NO_CHANGE, SchedEvent
 from .metrics import (
     DeadlineMiss,
     SimulationResult,
@@ -66,8 +67,8 @@ _MAX_STALL = 10_000
 
 _INF = float("inf")
 
-#: Precomputed obs counter keys, one per scheduler-invocation reason —
-#: the hot path must not build strings per decision.
+#: Obs counter names for the per-event pass tally, applied at flush —
+#: the hot path counts by event and never builds strings.
 _EVENT_COUNT_KEYS = {
     event: f"sched.invocations.{event.value}" for event in SchedEvent
 }
@@ -78,8 +79,9 @@ _OBS_PHASES = (
     "scan", "advance", "ramp", "handle", "dispatch", "release", "sleep"
 )
 
-#: Every value ``_decision_kind`` can return — preseeded into the obs
-#: count dict so the hot path is a bare ``counts[key] += 1``.
+#: Every decision kind ``_invoke_scheduler`` names as it applies a
+#: decision — preseeded into the obs count dict so the hot path is a bare
+#: ``counts[key] += 1``.
 _DECISION_KINDS = (
     "sched.decisions.sleep",
     "sched.decisions.speed",
@@ -91,19 +93,6 @@ _DECISION_KINDS = (
 #: Obs counter for RAMP_DONE passes the kernel skipped because the policy
 #: declared them no-ops (``Scheduler.ramp_done_is_noop``).
 _SKIPPED_RAMP_DONE = "sched.skipped.ramp_done"
-
-
-def _decision_kind(decision: Decision) -> str:
-    """Classify one decision for the per-decision obs counters."""
-    if decision.sleep is not None:
-        return "sched.decisions.sleep"
-    if decision.speed_target is not None:
-        return "sched.decisions.speed"
-    if decision.run is KEEP:
-        return "sched.decisions.no_change"
-    if decision.run is not None:
-        return "sched.decisions.dispatch"
-    return "sched.decisions.idle"
 
 
 class _Mode(enum.Enum):
@@ -277,12 +266,14 @@ class Simulator:
             self._obs_phase: Optional[Dict[str, List[float]]] = {
                 name: [0.0, 0.0] for name in _OBS_PHASES
             }
-            counts = {key: 0 for key in _EVENT_COUNT_KEYS.values()}
-            counts.update({kind: 0 for kind in _DECISION_KINDS})
+            # Passes are tallied by event (identity-hashed) and named at
+            # flush; decisions, releases and skips by counter name.
+            self._obs_events = {event: 0 for event in SchedEvent}
+            counts = {kind: 0 for kind in _DECISION_KINDS}
             counts["kernel.releases"] = 0
             counts[_SKIPPED_RAMP_DONE] = 0
             self._obs_counts: Optional[Dict[str, int]] = counts
-            self._obs_boundary: Dict[str, int] = {}
+            self._obs_boundary: Dict[str, int] = defaultdict(int)
             self._obs_iter = 0
             self._obs_sampled_iters = 0
             # Setup/INIT phase time (timed live, outside sampling) is
@@ -354,19 +345,23 @@ class Simulator:
         push = self.run_queue.push
         stats = self._task_stats
         injecting = self._injecting
+        rec_on = self._rec_on
         for task, release_time, job_index in self.delay_queue.pop_due(now, _TIME_EPS):
             demand = sample(task, rng)
-            faulted = False
             if injecting:
                 self._faults.advance_clock(now)
                 demand = self._faults.perturb_demand(
                     task, demand, f"{task.name}#{job_index}"
                 )
-                faulted = demand > task.wcet + _WORK_EPS
-            job = Job(task, job_index, release_time, demand, faulted=faulted)
+                job = Job(
+                    task, job_index, release_time, demand,
+                    faulted=demand > task.wcet + _WORK_EPS,
+                )
+            else:
+                job = Job(task, job_index, release_time, demand)
             push(job)
             stats[task.name].jobs_released += 1
-            if self._rec_on:
+            if rec_on:
                 self._recorder.event(now, "release", job.name)
             released.append(job)
         if self._obs_counts is not None:
@@ -433,20 +428,25 @@ class Simulator:
         # Obs tiling: when live, consecutive timestamps _t0/_t1/_t2 carve
         # each iteration into scan | advance-or-ramp | handle, so phase
         # self-times sum to the loop's wall time (profile's invariant).
+        # The sampling countdown and live-iteration tally are loop locals,
+        # stored back for the flush once the loop ends.
         live = False
         phase = self._obs_phase
-        boundary = self._obs_boundary if obs_on else None
+        if obs_on:
+            boundary = self._obs_boundary
+            countdown = self._obs_iter
+            sampled = self._obs_sampled_iters
+            restart = self._obs_period - 1
         while self.now < cutoff:
             if obs_on:
-                k = self._obs_iter
-                if k:
-                    self._obs_iter = k - 1
+                if countdown:
+                    countdown -= 1
                     if live:
                         live = False
                         self._obs_live = False
                 else:
-                    self._obs_iter = self._obs_period - 1
-                    self._obs_sampled_iters += 1
+                    countdown = restart
+                    sampled += 1
                     live = True
                     self._obs_live = True
                     _t1 = _t0 = perf_counter()
@@ -457,7 +457,7 @@ class Simulator:
                     acc = phase["scan"]
                     acc[0] += _t1 - _t0
                     acc[1] += 1.0
-                boundary[reason] = boundary.get(reason, 0) + 1
+                boundary[reason] += 1
             if t_next > horizon:
                 t_next = horizon
             now = self.now
@@ -499,7 +499,9 @@ class Simulator:
         result = self._finalize()
         if obs_on:
             self._obs_live = False
-            self._flush_obs(perf_counter() - _run_t0)
+            self._obs_iter = countdown
+            self._obs_sampled_iters = sampled
+            self._flush_obs(_run_t0)
         return result
 
     # ------------------------------------------------------------------ #
@@ -782,17 +784,23 @@ class Simulator:
 
     def _complete_active(self) -> None:
         job = self.active_job
-        job.completion_time = self.now
+        now = self.now
+        job.completion_time = now
         job.executed = job.execution_time
         self.active_job = None
         self._jobs_completed += 1
-        stats = self._task_stats[job.task.name]
-        stats.record_completion(job)
-        if job.completion_time > job.absolute_deadline + _TIME_EPS:
-            self._record_miss(job, job.completion_time)
-        self._push_release(job.task, job.next_release, job.index + 1)
+        task = job.task
+        self._task_stats[task.name].record_completion(job)
+        if now > job.absolute_deadline + _TIME_EPS:
+            self._record_miss(job, now)
+        if self._injecting:
+            self._push_release(task, job.next_release, job.index + 1)
+        else:
+            # ``_push_release`` without a fault layer to jitter the fire time.
+            self._push_epoch += 1
+            self.delay_queue.push(task, job.release_time + task.period, job.index + 1)
         if self._rec_on:
-            self._recorder.event(self.now, "completion", job.name)
+            self._recorder.event(now, "completion", job.name)
 
     def _abort_active(self) -> None:
         """Deadline-miss containment: kill the active job at its deadline.
@@ -845,6 +853,12 @@ class Simulator:
     # Scheduler invocation and decision application                        #
     # ------------------------------------------------------------------ #
     def _invoke_scheduler(self, event: SchedEvent) -> None:
+        """Run one scheduler pass and apply its decision.
+
+        Each branch that applies a decision also names its kind for the
+        per-decision obs counters, so exact counting costs a local store
+        rather than a second classification of the decision.
+        """
         obs_live = self._obs_live
         if obs_live:
             _t0 = perf_counter()
@@ -858,11 +872,74 @@ class Simulator:
         decision = self._schedule_fn(self, event)
         if decision is None:
             decision = NO_CHANGE
-        self._apply(decision)
+
+        # Pending-restore bookkeeping: a new restore replaces the old one; a
+        # decision that actually changes the schedule (dispatch, speed, or
+        # sleep) cancels it; a pure no-change decision preserves it.
+        speed_ctrl = self._speed_ctrl
+        new_job, target, sleep, restore_at, restore_target = decision
+        keeps_active = new_job is KEEP
+        if restore_at is not None:
+            speed_ctrl.arm_restore(restore_at, restore_target)
+        elif speed_ctrl.restore_at is not None and (
+            sleep is not None or target is not None or not keeps_active
+        ):
+            speed_ctrl.cancel_restore()
+
+        if sleep is not None:
+            kind = "sched.decisions.sleep"
+            if self.active_job is not None:
+                raise SimulationError(
+                    "scheduler requested power-down with an active job"
+                )
+            if sleep.start_at is not None and sleep.start_at > self.now + _TIME_EPS:
+                self._mode = _IDLE
+                self._sleep_ctrl.defer(sleep.start_at, sleep.until)
+            else:
+                self._enter_sleep(sleep.until)
+        else:
+            sleep_ctrl = self._sleep_ctrl
+            if sleep_ctrl.pending_at is not None:
+                sleep_ctrl.clear_pending()
+
+            if keeps_active:
+                kind = "sched.decisions.no_change"
+            else:
+                kind = (
+                    "sched.decisions.idle" if new_job is None
+                    else "sched.decisions.dispatch"
+                )
+                if new_job is not self.active_job:
+                    old = self.active_job
+                    if (
+                        old is not None
+                        and old.completion_time is None
+                        and not any(entry[2] is old for entry in self.run_queue._heap)
+                    ):
+                        # A scheduler must park the preempted job in the run
+                        # queue itself (paper L8–L10); silently dropping it
+                        # would lose its remaining work.
+                        raise SimulationError(
+                            f"decision replaced unfinished job {old.name} "
+                            "without requeueing it"
+                        )
+                    if new_job is not None:
+                        if new_job.start_time is None:
+                            new_job.start_time = self.now
+                        self._context_switches += 1
+                        if self._rec_on:
+                            self._recorder.event(self.now, "dispatch", new_job.name)
+                    self.active_job = new_job
+            self._mode = _RUNNING if self.active_job is not None else _IDLE
+
+            if target is not None:
+                kind = "sched.decisions.speed"
+                speed_ctrl.set_target(self.now, target)
+
         counts = self._obs_counts
         if counts is not None:
-            counts[_EVENT_COUNT_KEYS[event]] += 1
-            counts[_decision_kind(decision)] += 1
+            self._obs_events[event] += 1
+            counts[kind] += 1
             if obs_live:
                 acc = self._obs_phase["dispatch"]
                 acc[0] += perf_counter() - _t0
@@ -895,63 +972,6 @@ class Simulator:
             self._recorder.segment(self.now, end, "sched", None, None, s0, s1)
         self.now = end
 
-    def _apply(self, decision: Decision) -> None:
-        # Pending-restore bookkeeping: a new restore replaces the old one; a
-        # decision that actually changes the schedule (dispatch, speed, or
-        # sleep) cancels it; a pure no-change decision preserves it.
-        speed_ctrl = self._speed_ctrl
-        new_job, target, sleep, restore_at, restore_target = decision
-        keeps_active = new_job is KEEP
-        if restore_at is not None:
-            speed_ctrl.arm_restore(restore_at, restore_target)
-        elif speed_ctrl.restore_at is not None and (
-            sleep is not None or target is not None or not keeps_active
-        ):
-            speed_ctrl.cancel_restore()
-
-        if sleep is not None:
-            if self.active_job is not None:
-                raise SimulationError(
-                    "scheduler requested power-down with an active job"
-                )
-            if sleep.start_at is not None and sleep.start_at > self.now + _TIME_EPS:
-                self._mode = _IDLE
-                self._sleep_ctrl.defer(sleep.start_at, sleep.until)
-            else:
-                self._enter_sleep(sleep.until)
-            return
-
-        sleep_ctrl = self._sleep_ctrl
-        if sleep_ctrl.pending_at is not None:
-            sleep_ctrl.clear_pending()
-
-        if not keeps_active:
-            if new_job is not self.active_job:
-                old = self.active_job
-                if (
-                    old is not None
-                    and not old.completed
-                    and not any(entry[2] is old for entry in self.run_queue._heap)
-                ):
-                    # A scheduler must park the preempted job in the run
-                    # queue itself (paper L8–L10); silently dropping it
-                    # would lose its remaining work.
-                    raise SimulationError(
-                        f"decision replaced unfinished job {old.name} "
-                        "without requeueing it"
-                    )
-                if new_job is not None:
-                    if new_job.start_time is None:
-                        new_job.start_time = self.now
-                    self._context_switches += 1
-                    if self._rec_on:
-                        self._recorder.event(self.now, "dispatch", new_job.name)
-                self.active_job = new_job
-        self._mode = _RUNNING if self.active_job is not None else _IDLE
-
-        if target is not None:
-            speed_ctrl.set_target(self.now, target)
-
     # ------------------------------------------------------------------ #
     # Wrap-up                                                              #
     # ------------------------------------------------------------------ #
@@ -982,7 +1002,7 @@ class Simulator:
             guard_activations=list(self._guard_activations),
         )
 
-    def _flush_obs(self, wall_s: float) -> None:
+    def _flush_obs(self, run_t0: float) -> None:
         """Fold the run's local accumulators into the obs registry.
 
         The engine batches phase times and counts in plain dicts while
@@ -999,7 +1019,9 @@ class Simulator:
         Exported span self-times tile the event loop: ``dispatch`` is
         reported exclusive of the release scans schedulers trigger, and
         ``boundary_handle`` exclusive of both the dispatches and the
-        power-down work nested inside it.
+        power-down work nested inside it.  ``kernel.run`` is recorded
+        last, timed from *run_t0* to the end of the flush, so the flush's
+        own registry traffic counts as run self-time, not as a hole.
         """
         obs = self._obs
         phase = self._obs_phase
@@ -1035,7 +1057,6 @@ class Simulator:
         release_t, release_n = scaled("release")
         sleep_t, sleep_n = scaled("sleep")
         loop_t = scan_t + advance_t + ramp_t + handle_t
-        obs.span_add("kernel.run", wall_s, 1, self_s=max(0.0, wall_s - loop_t))
         for name, total_s, count, self_s in (
             ("kernel.boundary_scan", scan_t, scan_n, scan_t),
             ("kernel.advance", advance_t, advance_n, advance_t),
@@ -1057,6 +1078,9 @@ class Simulator:
         ):
             if count:
                 obs.span_add(name, total_s, count, self_s=self_s)
+        for event, value in self._obs_events.items():
+            if value:
+                obs.count(_EVENT_COUNT_KEYS[event], value)
         for name, value in self._obs_counts.items():
             if value:
                 obs.count(name, value)
@@ -1065,10 +1089,8 @@ class Simulator:
         obs.count("kernel.iterations", total_iters)
         obs.count("kernel.sampled_iterations", sampled)
         obs.gauge("kernel.sample_period", float(period))
-
-
-# Imported late so the module docstring's component list reads top-down.
-from .queues import DelayQueue, RunQueue  # noqa: E402
+        wall_s = perf_counter() - run_t0
+        obs.span_add("kernel.run", wall_s, 1, self_s=max(0.0, wall_s - loop_t))
 
 
 def simulate(

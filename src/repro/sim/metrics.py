@@ -70,8 +70,10 @@ class TaskStats:
     def record_completion(self, job: Job) -> None:
         """Fold one completed job into the statistics."""
         self.jobs_completed += 1
-        response = job.response_time or 0.0
-        self.worst_response = max(self.worst_response, response)
+        completion = job.completion_time
+        response = 0.0 if completion is None else completion - job.release_time
+        if response > self.worst_response:
+            self.worst_response = response
         self.total_response += response
         self.preemptions += job.preemptions
 

@@ -45,6 +45,7 @@ class PowerAccountant:
         "_active_cache",
         "_idle_cache",
         "_ramp_cache",
+        "_steady_cache",
     )
 
     def __init__(self, power: PowerModel) -> None:
@@ -56,6 +57,7 @@ class PowerAccountant:
         self._active_cache: Dict[float, float] = {}
         self._idle_cache: Dict[float, float] = {}
         self._ramp_cache: Dict[Tuple[float, float, float], float] = {}
+        self._steady_cache: Dict[float, Tuple[float, float]] = {}
 
     # -- memoised model evaluations ---------------------------------------
     def active_power(self, speed: float) -> float:
@@ -64,13 +66,6 @@ class PowerAccountant:
         p = cache.get(speed)
         if p is None:
             p = cache[speed] = self._power.active_power(speed)
-        return p
-
-    def _idle_power(self, speed: float) -> float:
-        cache = self._idle_cache
-        p = cache.get(speed)
-        if p is None:
-            p = cache[speed] = self._power.idle_power(speed)
         return p
 
     def ramp_energy(self, s0: float, s1: float, dt: float) -> float:
@@ -90,11 +85,18 @@ class PowerAccountant:
                 e = 0.0
             else:
                 span = s1 - s0
-                active = self.active_power
+                active = self._active_cache
+                model = self._power.active_power
                 total = 0.0
                 for frac, weight in zip(_SIMPSON_FRACS, _SIMPSON_WEIGHTS):
                     s = s0 + span * frac
-                    total += weight * active(max(s, 0.0))
+                    if s < 0.0:  # ``max(s, 0.0)``
+                        s = 0.0
+                    # ``active_power(s)``, inlined.
+                    p = active.get(s)
+                    if p is None:
+                        p = active[s] = model(s)
+                    total += weight * p
                 e = total * (dt / _RAMP_PANELS) / 3.0
             cache[key] = e
         return e
@@ -109,14 +111,15 @@ class PowerAccountant:
 
         The kernel's hottest accounting path: equivalent to
         ``run_constant(speed, dt)`` followed by ``residency(speed, dt)``
-        (a constant-speed span's mean speed is the speed itself).
+        (a constant-speed span's mean speed is the speed itself).  The
+        active power and the residency key are memoised per speed.
         """
-        cache = self._active_cache
-        p = cache.get(speed)
-        if p is None:
-            p = cache[speed] = self._power.active_power(speed)
+        cache = self._steady_cache
+        entry = cache.get(speed)
+        if entry is None:
+            entry = cache[speed] = (self.active_power(speed), round(speed, 2))
+        p, key = entry
         self.energy.active += p * dt
-        key = round(speed, 2)
         res = self.speed_residency
         res[key] = res.get(key, 0.0) + dt
 
@@ -125,8 +128,12 @@ class PowerAccountant:
         self.energy.ramp += self.ramp_energy(s0, s1, dt)
 
     def idle(self, speed: float, dt: float) -> None:
-        """Busy-waiting on NOPs at *speed*."""
-        self.energy.idle += self._idle_power(speed) * dt
+        """Busy-waiting on NOPs at *speed* (idle power memoised)."""
+        cache = self._idle_cache
+        p = cache.get(speed)
+        if p is None:
+            p = cache[speed] = self._power.idle_power(speed)
+        self.energy.idle += p * dt
 
     def sleep(self, dt: float) -> None:
         """Power-down mode."""

@@ -95,28 +95,36 @@ class Ramp(namedtuple("Ramp", ("start_time", "end_time", "from_speed", "to_speed
         """
         if remaining <= 0.0:
             return now
-        if now >= self.end_time:
-            return constant_time_to_complete(now, remaining, self.to_speed)
-        ramp_work = self.work_between(now, self.end_time)
+        start, end, s0, s1 = self
+        if now >= end:
+            return constant_time_to_complete(now, remaining, s1)
+        if now < start:
+            ramp_work = self.work_between(now, end)
+            v0 = s0
+            k = self.slope
+        else:
+            # The kernel's case, ``now`` inside the ramp: ``slope``,
+            # ``speed_at(now)`` and ``work_between(now, end)`` unrolled,
+            # with the same float operations in the same order (the ramp
+            # is not zero-length here, and ``speed_at(end)`` is ``s1``).
+            k = (s1 - s0) / (end - start)
+            v0 = s0 if now <= start else s0 + k * (now - start)
+            ramp_work = 0.5 * (v0 + s1) * (end - now)
         if remaining > ramp_work + 1e-12:
-            return constant_time_to_complete(
-                self.end_time, remaining - ramp_work, self.to_speed
-            )
-        # Solve s0*x + k*x^2/2 = remaining for the elapsed time x >= 0.
-        s0 = self.speed_at(now)
-        k = self.slope
+            return constant_time_to_complete(end, remaining - ramp_work, s1)
+        # Solve v0*x + k*x^2/2 = remaining for the elapsed time x >= 0.
         if abs(k) < 1e-15:
-            return constant_time_to_complete(now, remaining, s0)
-        disc = s0 * s0 + 2.0 * k * remaining
+            return constant_time_to_complete(now, remaining, v0)
+        disc = v0 * v0 + 2.0 * k * remaining
         if disc < 0.0:
             # Numerically impossible when remaining <= ramp_work; guard anyway.
             disc = 0.0
         if k > 0:
-            x = (-s0 + math.sqrt(disc)) / k
+            x = (-v0 + math.sqrt(disc)) / k
         else:
             # Decreasing speed: take the earlier (physical) root.
-            x = (s0 - math.sqrt(disc)) / (-k)
-        return now + max(0.0, min(x, self.end_time - now))
+            x = (v0 - math.sqrt(disc)) / (-k)
+        return now + max(0.0, min(x, end - now))
 
 
 def constant_work(t0: float, t1: float, speed: float) -> float:

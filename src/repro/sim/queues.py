@@ -149,9 +149,11 @@ class DelayQueue:
         time is the *nominal* one (deadline anchor), which equals the fire
         time except under injected release jitter.
         """
+        heap = self._heap
+        bound = now + tolerance
         due = []
-        while self._heap and self._heap[0][0] <= now + tolerance:
-            _, _, _, task, job_index, nominal = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= bound:
+            _, _, _, task, job_index, nominal = heapq.heappop(heap)
             due.append((task, nominal, job_index))
         return due
 

@@ -36,7 +36,8 @@ class SpeedController:
         "changes",
         "restore_at",
         "restore_target",
-        "_spec",
+        "_rho",
+        "_executes",
         "_faults",
         "_injecting",
         "_recorder",
@@ -59,7 +60,10 @@ class SpeedController:
         #: scheduler pass (``None`` = nothing armed).
         self.restore_at: Optional[float] = None
         self.restore_target: float = 1.0
-        self._spec = spec
+        # The transition model, read once per run: slew rate (1/µs,
+        # ``None`` = instantaneous) and whether work retires mid-ramp.
+        self._rho = spec.transition.rho
+        self._executes = spec.transition.executes_during_change
         self._faults = faults
         self._injecting = faults is not None and faults.injects
         self._recorder = recorder
@@ -81,12 +85,11 @@ class SpeedController:
         """
         if work <= WORK_EPS:
             return now
-        if self.ramp is not None:
-            if self._spec.transition.executes_during_change:
-                return self.ramp.time_to_complete(now, work)
-            return constant_time_to_complete(
-                self.ramp.end_time, work, self.ramp.to_speed
-            )
+        ramp = self.ramp
+        if ramp is not None:
+            if self._executes:
+                return ramp.time_to_complete(now, work)
+            return constant_time_to_complete(ramp.end_time, work, ramp.to_speed)
         return constant_time_to_complete(now, work, self.speed)
 
     # -- ramp lifecycle ----------------------------------------------------
@@ -151,12 +154,13 @@ class SpeedController:
         self.changes += 1
         if self._recorder.enabled:
             self._recorder.event(now, "speed", f"{target:.4f}")
-        transition = self._spec.transition
-        if transition.instantaneous:
+        rho = self._rho
+        if rho is None:
             self.speed = target
             self.ramp = None
             return
-        duration = transition.duration(start_speed, target)
+        # ``TransitionModel.duration``, inlined.
+        duration = abs(target - start_speed) / rho
         if faultable and self._injecting:
             duration *= self._faults.transition_duration_factor()
         if duration <= TIME_EPS:
@@ -164,9 +168,4 @@ class SpeedController:
             self.ramp = None
             return
         self.speed = start_speed
-        self.ramp = Ramp(
-            start_time=now,
-            end_time=now + duration,
-            from_speed=start_speed,
-            to_speed=target,
-        )
+        self.ramp = Ramp(now, now + duration, start_speed, target)

@@ -9,20 +9,32 @@ active job ``E_i``; here that is :attr:`Job.executed`, measured in full-speed
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import InvalidTaskError
 from .task import Task
 
-#: ``dataclass(slots=...)`` needs Python 3.10; 3.9 gets a dict-backed Job.
-_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+#: Fields compared by ``==`` and shown by ``repr``, in constructor order.
+_FIELDS = (
+    "task",
+    "index",
+    "release_time",
+    "execution_time",
+    "executed",
+    "start_time",
+    "completion_time",
+    "preemptions",
+    "faulted",
+)
 
 
-@dataclass(**_SLOTS)
 class Job:
     """One instance of a periodic task.
+
+    A hand-written ``__slots__`` record: the kernel builds one per
+    release, so construction is a single ``__init__`` on every supported
+    Python.  Equality compares the fields (and jobs are unhashable), as
+    for a plain dataclass.
 
     Parameters
     ----------
@@ -44,35 +56,72 @@ class Job:
         WCET.  The engine's overrun watchdog keys off this flag, and the
         ``[BCET, WCET]`` validation is relaxed for such jobs (that broken
         invariant *is* the fault being modelled).
+
+    Attributes
+    ----------
+    absolute_deadline:
+        Release time plus the task's relative deadline, fixed at
+        construction (the release time never changes).
     """
 
-    task: Task
-    index: int
-    release_time: float
-    execution_time: float
-    executed: float = 0.0
-    start_time: Optional[float] = None
-    completion_time: Optional[float] = None
-    preemptions: int = 0
-    faulted: bool = False
+    __slots__ = _FIELDS + ("absolute_deadline",)
 
-    def __post_init__(self) -> None:
-        tol = 1e-9 * max(1.0, self.task.wcet)
-        if self.faulted:
-            if self.execution_time <= 0:
+    def __init__(
+        self,
+        task: Task,
+        index: int,
+        release_time: float,
+        execution_time: float,
+        executed: float = 0.0,
+        start_time: Optional[float] = None,
+        completion_time: Optional[float] = None,
+        preemptions: int = 0,
+        faulted: bool = False,
+    ) -> None:
+        wcet = task.wcet
+        if faulted:
+            if execution_time <= 0:
                 raise InvalidTaskError(
-                    f"{self.name}: faulted execution time must be > 0, "
-                    f"got {self.execution_time}"
+                    f"{task.name}#{index}: faulted execution time must be > 0, "
+                    f"got {execution_time}"
                 )
-            return
-        if not (self.task.bcet - tol <= self.execution_time <= self.task.wcet + tol):
-            raise InvalidTaskError(
-                f"{self.name}: execution time {self.execution_time} outside "
-                f"[{self.task.bcet}, {self.task.wcet}]"
-            )
-        # Snap tiny float excursions back into range so downstream math can
-        # rely on the invariant exactly.
-        self.execution_time = min(max(self.execution_time, self.task.bcet), self.task.wcet)
+        else:
+            bcet = task.bcet
+            tol = 1e-9 * (wcet if wcet > 1.0 else 1.0)
+            if not (bcet - tol <= execution_time <= wcet + tol):
+                raise InvalidTaskError(
+                    f"{task.name}#{index}: execution time {execution_time} "
+                    f"outside [{bcet}, {wcet}]"
+                )
+            # Snap tiny float excursions back into range so downstream math
+            # can rely on the invariant exactly.
+            if execution_time < bcet:
+                execution_time = bcet
+            elif execution_time > wcet:
+                execution_time = wcet
+        self.task = task
+        self.index = index
+        self.release_time = release_time
+        self.execution_time = execution_time
+        self.executed = executed
+        self.start_time = start_time
+        self.completion_time = completion_time
+        self.preemptions = preemptions
+        self.faulted = faulted
+        self.absolute_deadline: float = release_time + task.deadline
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in _FIELDS
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS)
+        return f"Job({fields})"
 
     @property
     def name(self) -> str:
@@ -80,16 +129,12 @@ class Job:
         return f"{self.task.name}#{self.index}"
 
     @property
-    def absolute_deadline(self) -> float:
-        """Release time plus the task's relative deadline."""
-        return self.release_time + self.task.deadline
-
-    @property
     def priority(self) -> int:
         """The task's fixed priority (smaller = higher)."""
-        if self.task.priority is None:
+        priority = self.task.priority
+        if priority is None:
             raise InvalidTaskError(f"{self.name}: task has no priority assigned")
-        return self.task.priority
+        return priority
 
     @property
     def remaining(self) -> float:

@@ -1,0 +1,51 @@
+"""Full-horizon pin: figure-8 powers equal the committed reference.
+
+The golden trace matrix covers short cells (at most 25 ms, a few dozen
+kernel iterations).  This pin runs the paper's Figure 8 sweep over its
+full measurement horizon for every application at the two ends of the
+BCET range, so drift that only builds up over long runs (accumulated
+energy floats, RNG draw order, residency) is caught on every Python the
+golden suite runs on.  The reference values are the seed-1 figure-8
+campaign the benchmark ledger checks; this test only reads them.
+
+Each reference power is a mean over seeds 1-3 taken with ``sum()``.
+Python 3.12's ``sum()`` rounds float totals with compensated summation,
+which moves the last bit of that mean at 7 of the 40 reference points;
+none of them is at BCET 0.1 or 1.0, so these two ratios hold exactly on
+3.9, 3.11 and 3.12.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+
+import pytest
+
+from repro.experiments.figure8 import run_figure8
+
+pytestmark = pytest.mark.golden
+
+REFERENCE = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "benchmarks" / "ledger" / "reference_figure8_seed1.json"
+)
+
+APPS = ("avionics", "ins", "flight_control", "cnc")
+RATIOS = (0.1, 1.0)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(REFERENCE.read_text())
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_full_horizon_powers_match_reference(reference, app):
+    expected = {ratio: (fps, lpfps) for ratio, fps, lpfps in reference[app]}
+    result = run_figure8(app, ratios=RATIOS, seeds=(1, 2, 3), jobs=1)
+    got = {
+        point.bcet_ratio: (point.fps_power, point.lpfps_power)
+        for point in result.points
+    }
+    assert got == {ratio: expected[ratio] for ratio in RATIOS}

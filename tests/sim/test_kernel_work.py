@@ -20,11 +20,12 @@ from repro.tasks.generation import GaussianModel
 from repro.workloads.registry import get_workload
 
 
-def _run(workload, duration, obs=None, record_trace=True, **kwargs):
+def _run(workload, duration, obs=None, record_trace=True, scheduler="lpfps",
+         **kwargs):
     taskset = get_workload(workload).prioritized().with_bcet_ratio(0.5)
     return simulate(
         taskset,
-        make_scheduler("lpfps"),
+        make_scheduler(scheduler),
         execution_model=GaussianModel(),
         duration=duration,
         seed=1,
@@ -77,6 +78,18 @@ class TestWorkPin:
             "sched.skipped.ramp_done": 1392,
         }
         assert "kernel.boundary.wake" not in registry.snapshot()["counters"]
+
+    def test_full_ins_hyperperiod_fps(self):
+        # The FPS baseline over the same hyperperiod: one release or one
+        # completion per iteration, and nothing to skip or fold.
+        registry = Registry(sample=1)
+        _run("ins", None, obs=registry, record_trace=False, scheduler="fps")
+        assert _work(registry) == {
+            "kernel.iterations": 4147,
+            "sched.invocations.init": 1,
+            "sched.invocations.release": 1999,
+            "sched.invocations.completion": 2147,
+        }
 
 
 class TestCostlyPassesAreNeverSkipped:

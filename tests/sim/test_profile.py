@@ -1,6 +1,7 @@
 """Unit and property tests for closed-form work integration."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -137,3 +138,96 @@ class TestRampCompletion:
         ramp_work = ramp.work_between(0.0, duration)
         t = ramp.time_to_complete(0.0, ramp_work + extra)
         assert t == pytest.approx(duration + extra / s1, rel=1e-9)
+
+
+def _composed_time_to_complete(ramp, now, remaining):
+    """``Ramp.time_to_complete`` composed from the public pieces
+    (``work_between``, ``speed_at``, ``slope``): the form the kernel's
+    unrolled solve must reproduce bit for bit."""
+    if remaining <= 0.0:
+        return now
+    if now >= ramp.end_time:
+        return constant_time_to_complete(now, remaining, ramp.to_speed)
+    ramp_work = ramp.work_between(now, ramp.end_time)
+    if remaining > ramp_work + 1e-12:
+        return constant_time_to_complete(
+            ramp.end_time, remaining - ramp_work, ramp.to_speed
+        )
+    s0 = ramp.speed_at(now)
+    k = ramp.slope
+    if abs(k) < 1e-15:
+        return constant_time_to_complete(now, remaining, s0)
+    disc = s0 * s0 + 2.0 * k * remaining
+    if disc < 0.0:
+        disc = 0.0
+    if k > 0:
+        x = (-s0 + math.sqrt(disc)) / k
+    else:
+        x = (s0 - math.sqrt(disc)) / (-k)
+    return now + max(0.0, min(x, ramp.end_time - now))
+
+
+class TestUnrolledSolveIsBitIdentical:
+    """The unrolled ``time_to_complete`` equals the composed formula."""
+
+    @given(
+        start=st.floats(0.0, 1e4),
+        duration=st.floats(1e-3, 1e3),
+        speeds=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+        rising=st.booleans(),
+        at_start=st.booleans(),
+        offset=st.floats(0.0, 1.0, exclude_max=True),
+        above=st.booleans(),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_now_at_or_inside_the_ramp(
+        self, start, duration, speeds, rising, at_start, offset, above, share
+    ):
+        lo, hi = sorted(speeds)
+        s0, s1 = (lo, hi) if rising else (hi, lo)
+        ramp = Ramp(start, start + duration, s0, s1)
+        now = start if at_start else start + offset * duration
+        assume(now < ramp.end_time)
+        ramp_work = ramp.work_between(now, ramp.end_time)
+        # Below the ramp's remaining work the quadratic solves it; above,
+        # the constant tail at ``to_speed`` finishes it.
+        remaining = ramp_work * (1.0 + 2.0 * share) if above else ramp_work * share
+        got = ramp.time_to_complete(now, remaining)
+        want = _composed_time_to_complete(ramp, now, remaining)
+        assert got.hex() == want.hex()
+
+    def test_seeded_sample(self):
+        # Hypothesis favours round values, on which most float orderings
+        # agree; uniformly drawn ramps expose a reordered operation.  Small
+        # times keep a last-bit difference in the elapsed solve from being
+        # absorbed by the addition to ``now``.
+        rng = random.Random(17)
+        for _ in range(3000):
+            start = rng.uniform(0.0, 50.0)
+            ramp = Ramp(
+                start, start + rng.uniform(1e-3, 100.0),
+                rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0),
+            )
+            now = start + rng.random() * (ramp.end_time - start)
+            if now >= ramp.end_time:
+                continue
+            remaining = ramp.work_between(now, ramp.end_time) * rng.uniform(0.0, 2.0)
+            got = ramp.time_to_complete(now, remaining)
+            want = _composed_time_to_complete(ramp, now, remaining)
+            assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "ramp",
+        [
+            Ramp(0.0, 10.0, 0.3, 1.0),
+            Ramp(0.0, 10.0, 1.0, 0.3),
+            Ramp(5.0, 5.0, 0.5, 1.0),
+            Ramp(0.0, 10.0, 0.4, 0.4),
+        ],
+    )
+    @pytest.mark.parametrize("now", [-3.0, 0.0, 5.0, 9.5, 10.0, 12.0])
+    @pytest.mark.parametrize("remaining", [0.0, 0.5, 2.0, 6.5, 40.0])
+    def test_grid(self, ramp, now, remaining):
+        got = ramp.time_to_complete(now, remaining)
+        want = _composed_time_to_complete(ramp, now, remaining)
+        assert got.hex() == want.hex()

@@ -1,5 +1,8 @@
 """Unit tests for run-time Job objects."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import InvalidTaskError
@@ -96,3 +99,76 @@ class TestDeadlineDetection:
         job = Job(_task(), index=0, release_time=0.0, execution_time=10.0)
         job.completion_time = 100.0
         assert not job.missed_deadline(now=200.0)
+
+
+class TestJobRecord:
+    """The slot record keeps the dataclass's checks and value semantics."""
+
+    def test_out_of_range_demand_message(self):
+        with pytest.raises(InvalidTaskError) as excinfo:
+            Job(_task(), index=0, release_time=0.0, execution_time=25.0)
+        assert str(excinfo.value) == "t#0: execution time 25.0 outside [5.0, 20.0]"
+        with pytest.raises(InvalidTaskError) as excinfo:
+            Job(_task(), index=4, release_time=0.0, execution_time=1.0)
+        assert str(excinfo.value) == "t#4: execution time 1.0 outside [5.0, 20.0]"
+
+    @pytest.mark.parametrize("demand", [0.0, -1.0])
+    def test_non_positive_faulted_demand_message(self, demand):
+        with pytest.raises(InvalidTaskError) as excinfo:
+            Job(_task(), index=2, release_time=0.0, execution_time=demand,
+                faulted=True)
+        assert str(excinfo.value) == (
+            f"t#2: faulted execution time must be > 0, got {demand}"
+        )
+
+    def test_faulted_demand_may_exceed_wcet(self):
+        job = Job(_task(), index=0, release_time=0.0, execution_time=30.0,
+                  faulted=True)
+        assert job.execution_time == 30.0
+
+    @pytest.mark.parametrize(
+        "demand,snapped",
+        [(20.0 + 1e-12, 20.0), (5.0 - 1e-12, 5.0), (12.5, 12.5)],
+    )
+    def test_demand_snaps_into_range(self, demand, snapped):
+        job = Job(_task(), index=0, release_time=0.0, execution_time=demand)
+        assert job.execution_time == snapped
+
+    @pytest.mark.parametrize("deadline", [None, 60.0])
+    def test_absolute_deadline_is_release_plus_deadline(self, deadline):
+        task = _task(deadline=deadline)
+        job = Job(task, index=1, release_time=137.25, execution_time=10.0)
+        assert job.absolute_deadline == 137.25 + task.deadline
+
+    def test_no_instance_dict(self):
+        job = Job(_task(), index=0, release_time=0.0, execution_time=10.0)
+        assert not hasattr(job, "__dict__")
+        with pytest.raises(AttributeError):
+            job.bogus = 1
+
+    def test_value_equality_and_unhashable(self):
+        a = Job(_task(), index=0, release_time=0.0, execution_time=10.0)
+        b = Job(_task(), index=0, release_time=0.0, execution_time=10.0)
+        assert a == b
+        b.executed = 1.0
+        assert a != b
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def _assert_same(self, copied, job):
+        assert copied is not job
+        assert copied == job
+        assert copied.absolute_deadline == job.absolute_deadline
+        assert repr(copied) == repr(job)
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        job = Job(_task(), index=3, release_time=300.0, execution_time=12.0,
+                  executed=4.0, start_time=301.0, preemptions=2)
+        self._assert_same(pickle.loads(pickle.dumps(job, protocol)), job)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_copy_round_trip(self, clone):
+        job = Job(_task(), index=3, release_time=300.0, execution_time=12.0,
+                  completion_time=320.0, faulted=False)
+        self._assert_same(clone(job), job)
