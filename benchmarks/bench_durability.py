@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.scenarios import load_pack, parse_scenario
 from repro.scenarios.runner import run_scenario
-from repro.service.client import STREAM_TRANSPORT_ERRORS, ServiceClient
+from repro.service.client import TRANSPORT_ERRORS, ServiceClient
 
 SRC_ROOT = str(Path(__file__).resolve().parent.parent / "src")
 TOTAL_CELLS = 16
@@ -107,7 +107,7 @@ def test_kill_resume_reconnect(tmp_path, artifact, metrics_out):
                     process.kill()
                     process.wait(timeout=10.0)
                     break
-        except STREAM_TRANSPORT_ERRORS:
+        except TRANSPORT_ERRORS:
             pass
     finally:
         _stop(process)
@@ -131,7 +131,7 @@ def test_kill_resume_reconnect(tmp_path, artifact, metrics_out):
                     after = event["seq"]
                 if merged[-1]["kind"] in ("done", "error"):
                     break
-            except STREAM_TRANSPORT_ERRORS:
+            except TRANSPORT_ERRORS:
                 time.sleep(0.2)
         resume_latency_s = time.monotonic() - restart_started
     finally:

@@ -973,17 +973,16 @@ def _run_query(args) -> int:
         request["duration"] = args.duration
     if args.url is not None:
         from .errors import ReproError
-        from .service.client import ServiceClient
-        from .service.retry import RetryingClient, RetryPolicy
+        from .service.client import TRANSPORT_ERRORS
+        from .service.fleet import FleetClient
+        from .service.retry import RetryPolicy
 
-        send = ServiceClient(args.url).query
-        if args.max_attempts > 1:
-            send = RetryingClient(
-                send, policy=RetryPolicy(max_attempts=args.max_attempts)
-            )
         try:
-            status, payload = send(request)
-        except ReproError as exc:
+            client = FleetClient(
+                [args.url], policy=RetryPolicy(max_attempts=args.max_attempts)
+            )
+            status, payload = client(request)
+        except (ReproError,) + TRANSPORT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(json.dumps(payload, indent=2, sort_keys=True))

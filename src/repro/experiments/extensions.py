@@ -33,7 +33,7 @@ from ..sim.engine import simulate
 from ..tasks.generation import BimodalModel, GaussianModel
 from ..viz.tables import render_table
 from ..workloads.registry import get_workload
-from .runner import measurement_duration
+from .runner import measurement_duration, seed_mean
 
 
 # ------------------------------------------------------------------ #
@@ -142,8 +142,8 @@ def run_overhead_tradeoff(
         points.append(
             OverheadPoint(
                 overhead=overhead,
-                heuristic_power=sum(powers["heu"]) / len(seeds),
-                optimal_power=sum(powers["opt"]) / len(seeds),
+                heuristic_power=seed_mean(powers["heu"]),
+                optimal_power=seed_mean(powers["opt"]),
                 heuristic_misses=misses["heu"],
                 optimal_misses=misses["opt"],
             )
@@ -220,9 +220,9 @@ def run_oracle_gap(
         rows.append(
             (
                 ratio,
-                sum(powers["fps"]) / len(seeds),
-                sum(powers["lpfps"]) / len(seeds),
-                sum(powers["yds"]) / len(seeds),
+                seed_mean(powers["fps"]),
+                seed_mean(powers["lpfps"]),
+                seed_mean(powers["yds"]),
             )
         )
     return OracleGapResult(

@@ -795,6 +795,20 @@ class ComparisonPoint:
         return 1.0 - self.average_power / baseline.average_power
 
 
+def seed_mean(values: Sequence[float]) -> float:
+    """Mean of *values*, accumulated left to right.
+
+    From Python 3.12 on, ``sum()`` rounds float totals with compensated
+    summation, which moves the last bit of some seed-averaged powers.
+    A plain fold gives the bits ``sum()`` gives before 3.12 on every
+    version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def compare_schedulers(
     taskset: TaskSet,
     schedulers: Dict[str, "object"],
@@ -849,7 +863,7 @@ def compare_schedulers(
             speed_changes += result.speed_changes
         points[name] = ComparisonPoint(
             scheduler=name,
-            average_power=sum(powers) / len(powers),
+            average_power=seed_mean(powers),
             deadline_misses=misses,
             sleep_entries=sleeps / n_seeds,
             speed_changes=speed_changes / n_seeds,

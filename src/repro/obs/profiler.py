@@ -149,6 +149,8 @@ class ProfileReport:
             "client.transport_failures",
             "client.breaker_trips",
             "client.fast_fails",
+            "client.exhausted",
+            "client.stream_failovers",
             "broker.window_shrinks",
         )
         events = [

@@ -20,15 +20,19 @@ the analysis substrate.  The pieces compose bottom-up:
   percentiles, exported in the bench-metrics/v1 schema.
 * :mod:`~repro.service.server` — the stdlib HTTP front end
   (``lpfps serve``).
-* :mod:`~repro.service.client` — HTTP client plus closed- and open-loop
-  load generators (``benchmarks/bench_service.py``).
+* :mod:`~repro.service.client` — the HTTP transport plus closed- and
+  open-loop load generators (``benchmarks/bench_service.py``).
+* :mod:`~repro.service.retry` — the client's resilience policy:
+  decorrelated-jitter backoff, circuit breaker, Retry-After hint.
 * :mod:`~repro.service.supervisor` — the fleet supervisor: spawn N
   server replicas over one shared cache, probe them, restart crashed
   ones under an exponential-backoff budget, quarantine crash-loopers,
   and SIGTERM-drain on shutdown (``lpfps fleet``).
-* :mod:`~repro.service.fleet` — the failover client: round-robin over
-  replica endpoints, per-endpoint circuit-breaker ejection, transparent
-  re-issue of (content-addressed, idempotent) queries on replica death
+* :mod:`~repro.service.fleet` — the one retrying client, for one URL or
+  a fleet: round-robin over endpoints, per-endpoint circuit-breaker
+  ejection, backoff on flow control, transparent re-issue of
+  (content-addressed, idempotent) queries on replica death, and
+  resume-by-sequence of streamed campaigns
   (``benchmarks/bench_fleet.py``).
 
 The service guarantees *bit-identity*: a cache hit returns exactly the
@@ -44,7 +48,7 @@ from .fingerprint import canonical_payload, fingerprint
 from .fleet import FleetClient
 from .query import Query, QueryError, parse_query
 from .results import encode_result, execute_analytic
-from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy, RetryingClient
+from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from .server import ScheduleService, serve_forever
 from .stats import ServiceStats
 from .supervisor import FleetError, FleetSupervisor, RestartBudget
@@ -59,7 +63,6 @@ __all__ = [
     "RequestTimeout",
     "ResultCache",
     "RetryPolicy",
-    "RetryingClient",
     "ScheduleService",
     "ServiceGuards",
     "ServiceStats",

@@ -23,46 +23,46 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ServiceError
 from .stats import percentile
-from .stream import TERMINAL_KINDS, parse_sse
+from .stream import parse_sse
 
 #: A transport: JSON request dict in, (HTTP-like status, payload) out.
 SendFn = Callable[[Dict[str, Any]], Tuple[int, Dict[str, Any]]]
 
-#: Failure classes a dropped stream or dead server produces at this
-#: layer: socket-level errors (``urllib``'s ``URLError`` is an
-#: ``OSError``) plus protocol-level carnage from a SIGKILL mid-response.
-STREAM_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+#: Failures meaning the endpoint gave no answer: socket-level errors
+#: (``urllib``'s ``URLError``, ``ConnectionError`` and ``TimeoutError``
+#: are ``OSError``s) plus protocol-level carnage from a SIGKILL
+#: mid-response.  Retryable, and counted by circuit breakers.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 class ServiceClient:
-    """Minimal JSON client for one service base URL."""
+    """Minimal JSON client for one service base URL.
+
+    The HTTP transport only: no retries.  Wrap it in a one-URL
+    :class:`~repro.service.fleet.FleetClient` for backoff, a circuit
+    breaker and stream resume.
+    """
 
     def __init__(self, url: str, timeout_s: float = 120.0):
         self.url = url.rstrip("/")
         self.timeout_s = timeout_s
 
-    def _get(self, path: str) -> Tuple[int, Dict[str, Any]]:
-        try:
-            with urllib.request.urlopen(
-                self.url + path, timeout=self.timeout_s
-            ) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            return exc.code, _body_of(exc)
+    def _request(
+        self, path: str, body: Optional[Dict[str, Any]] = None
+    ) -> Tuple[int, Dict[str, Any]]:
+        """GET *path*, or POST *body* to it as JSON.
 
-    def query(self, request: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        """POST one query; returns ``(status, payload)``, raising only on
-        transport (socket-level) failures."""
-        body = json.dumps(request).encode("utf-8")
+        Returns ``(status, payload)`` for every HTTP answer, error
+        statuses included; raises only on transport failures.
+        """
+        data = None if body is None else json.dumps(body).encode("utf-8")
         http_request = urllib.request.Request(
-            self.url + "/v1/query",
-            data=body,
+            self.url + path,
+            data=data,
             headers={"Content-Type": "application/json"},
-            method="POST",
         )
         try:
             with urllib.request.urlopen(
@@ -71,6 +71,14 @@ class ServiceClient:
                 return response.status, json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             return exc.code, _body_of(exc)
+
+    def _get(self, path: str) -> Tuple[int, Dict[str, Any]]:
+        return self._request(path)
+
+    def query(self, request: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+        """POST one query; returns ``(status, payload)``, raising only on
+        transport (socket-level) failures."""
+        return self._request("/v1/query", request)
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
         return self._get("/v1/health")
@@ -82,20 +90,7 @@ class ServiceClient:
         self, request: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any]]:
         """POST a scenario campaign (``{"pack": name}`` or inline doc)."""
-        body = json.dumps(request).encode("utf-8")
-        http_request = urllib.request.Request(
-            self.url + "/v1/scenario",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(
-                http_request, timeout=self.timeout_s
-            ) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            return exc.code, _body_of(exc)
+        return self._request("/v1/scenario", request)
 
     def stream(
         self, campaign_id: str, after: int = 0
@@ -118,68 +113,6 @@ class ServiceClient:
         finally:
             response.close()
 
-    def resume_scenario(
-        self,
-        request: Dict[str, Any],
-        after: int = 0,
-        max_reconnects: int = 8,
-        reconnect_delay_s: float = 0.5,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> Iterator[Dict[str, Any]]:
-        """Submit a scenario and stream it to completion, crash or not.
-
-        The resume-by-fingerprint loop: (re-)POST the scenario — which
-        is idempotent when the server runs with a checkpoint dir, so a
-        re-submission attaches to the running campaign, returns the
-        finished one, or resumes a crashed one — then follow its stream
-        from the last event this generator has already yielded.  A
-        dropped connection or a dead/restarting server costs one
-        reconnect from the budget (any successfully yielded event
-        refills it); events are deduplicated by sequence number, so the
-        caller sees one gapless, duplicate-free sequence ending in the
-        terminal ``done``/``error`` event no matter how many times the
-        server died along the way.
-
-        *after* starts past events already consumed (e.g. by an earlier
-        process).  Raises :class:`~repro.errors.ServiceError` on a
-        non-200 submission (a malformed scenario never resolves itself)
-        or when the reconnect budget is exhausted.
-        """
-        last_seen = int(after)
-        failures = 0
-        while True:
-            campaign_id = None
-            try:
-                status, payload = self.submit_scenario(request)
-                if status != 200:
-                    raise ServiceError(
-                        f"scenario submission failed ({status}): "
-                        f"{payload.get('error', payload)}"
-                    )
-                campaign_id = payload["campaign_id"]
-                for event in self.stream(campaign_id, after=last_seen):
-                    seq = event.get("seq")
-                    if isinstance(seq, int):
-                        if seq <= last_seen:
-                            continue  # duplicate from an overlapping replay
-                        last_seen = seq
-                    failures = 0
-                    yield event
-                    if event.get("kind") in TERMINAL_KINDS:
-                        return
-                # Stream closed without a terminal event: the server is
-                # draining or the subscriber idled out — reconnect.
-            except STREAM_TRANSPORT_ERRORS:
-                pass
-            failures += 1
-            if failures > max_reconnects:
-                what = campaign_id if campaign_id is not None else "scenario"
-                raise ServiceError(
-                    f"stream for {what!r} lost after "
-                    f"{max_reconnects} reconnects"
-                )
-            sleep(reconnect_delay_s)
-
 
 def _body_of(exc: urllib.error.HTTPError) -> Dict[str, Any]:
     """Decode an error response, folding useful headers into the payload.
@@ -187,7 +120,7 @@ def _body_of(exc: urllib.error.HTTPError) -> Dict[str, Any]:
     A shed response's ``Retry-After`` header is mirrored into the body
     as ``retry_after_s`` when the server did not already include it, so
     transports that only surface ``(status, payload)`` — the load
-    generators, :class:`~repro.service.retry.RetryingClient` — still see
+    generators, :class:`~repro.service.fleet.FleetClient` — still see
     the server's pacing hint.
     """
     try:
@@ -253,38 +186,57 @@ class LoadReport:
                 self.failures += 1
 
 
+def _run_load(
+    send: SendFn,
+    requests: Sequence[Dict[str, Any]],
+    threads: int,
+    rate_rps: Optional[float] = None,
+) -> LoadReport:
+    """Issue *requests* from ``threads`` workers, each taking the next
+    request as soon as it is free.  With *rate_rps*, request *i* also
+    waits for its arrival time ``i / rate_rps``; without, it goes at
+    once (a closed loop)."""
+    report = LoadReport()
+    lock = threading.Lock()
+    epoch = time.perf_counter()
+    cursor = iter(range(len(requests)))
+
+    def worker() -> None:
+        while True:
+            with lock:
+                index = next(cursor, None)
+            if index is None:
+                return
+            if rate_rps is not None:
+                delay = epoch + index / rate_rps - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                else:
+                    with lock:
+                        report.max_slip_s = max(report.max_slip_s, -delay)
+            start = time.perf_counter()
+            status, _ = send(requests[index])
+            report._count(status, time.perf_counter() - start, lock)
+
+    pool = [
+        threading.Thread(target=worker, daemon=True)
+        for _ in range(max(1, threads))
+    ]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+    report.wall_s = time.perf_counter() - epoch
+    return report
+
+
 def run_closed_loop(
     send: SendFn,
     requests: Sequence[Dict[str, Any]],
     concurrency: int = 4,
 ) -> LoadReport:
     """Drive *requests* with ``concurrency`` back-to-back virtual users."""
-    report = LoadReport()
-    lock = threading.Lock()
-    cursor = {"next": 0}
-
-    def worker() -> None:
-        while True:
-            with lock:
-                index = cursor["next"]
-                if index >= len(requests):
-                    return
-                cursor["next"] = index + 1
-            start = time.perf_counter()
-            status, _ = send(requests[index])
-            report._count(status, time.perf_counter() - start, lock)
-
-    started = time.perf_counter()
-    threads = [
-        threading.Thread(target=worker, daemon=True)
-        for _ in range(max(1, concurrency))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.wall_s = time.perf_counter() - started
-    return report
+    return _run_load(send, requests, concurrency)
 
 
 def run_open_loop(
@@ -303,39 +255,7 @@ def run_open_loop(
     """
     if rate_rps <= 0:
         raise ValueError(f"rate_rps must be > 0, got {rate_rps}")
-    report = LoadReport()
-    lock = threading.Lock()
-    epoch = time.perf_counter()
-    cursor = {"next": 0}
-
-    def worker() -> None:
-        while True:
-            with lock:
-                index = cursor["next"]
-                if index >= len(requests):
-                    return
-                cursor["next"] = index + 1
-            scheduled = epoch + index / rate_rps
-            delay = scheduled - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            else:
-                with lock:
-                    report.max_slip_s = max(report.max_slip_s, -delay)
-            start = time.perf_counter()
-            status, _ = send(requests[index])
-            report._count(status, time.perf_counter() - start, lock)
-
-    threads = [
-        threading.Thread(target=worker, daemon=True)
-        for _ in range(max(1, workers))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.wall_s = time.perf_counter() - epoch
-    return report
+    return _run_load(send, requests, workers, rate_rps)
 
 
 def broker_send(service) -> SendFn:

@@ -1,4 +1,4 @@
-"""Client-side resilience: retries with decorrelated jitter + a breaker.
+"""Client-side resilience policy: backoff, circuit breaker, pacing hint.
 
 The service's failure contract is explicit: 503 means *shed — the work
 was never admitted, retry later*; 504 means *the wait expired but the
@@ -6,9 +6,8 @@ computation continues and its answer lands in the cache* — so a retry of
 either is cheap and correct, provided clients back off instead of
 hammering a service that just told them it is overloaded.
 
-:class:`RetryingClient` wraps any load-generator transport (a
-``send(request) -> (status, payload)`` callable, the
-:data:`~repro.service.client.SendFn` shape) with:
+This module holds the pure parts of that policy; the one loop that
+applies them is :class:`~repro.service.fleet.FleetClient`:
 
 * **Decorrelated-jitter backoff** — each delay is drawn uniformly from
   ``[base, 3 * previous]`` and capped, which de-synchronises retrying
@@ -23,8 +22,10 @@ hammering a service that just told them it is overloaded.
   with :class:`CircuitOpenError` instead of burning timeouts against a
   dead endpoint.  After ``reset_timeout_s`` it half-opens: exactly one
   probe is let through; its outcome closes or re-opens the circuit.
+* **The Retry-After hint** — :func:`retry_after_hint` reads the
+  server's ``retry_after_s`` pacing hint out of a flow-control payload.
 
-Clock, sleep, and RNG are all injectable so tests are deterministic and
+Clock and RNG are injectable so tests are deterministic and
 instantaneous.
 """
 
@@ -34,14 +35,9 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 from ..errors import ConfigurationError, ServiceError
-from ..obs.registry import Registry, current
-
-#: Exception classes treated as transport failures: the request may
-#: never have reached the service (retryable, breaker-countable).
-TRANSPORT_ERRORS = (ConnectionError, TimeoutError, OSError)
 
 
 class CircuitOpenError(ServiceError):
@@ -52,7 +48,7 @@ class CircuitOpenError(ServiceError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Backoff knobs for :class:`RetryingClient`.
+    """Backoff knobs for :class:`~repro.service.fleet.FleetClient`.
 
     ``retry_on`` lists the HTTP statuses worth retrying: by default the
     two flow-control answers (503 shed, 504 late-answer-cached).  Real
@@ -131,6 +127,7 @@ class CircuitBreaker:
         self._state = "closed"
         self._streak = 0
         self._opened_at = 0.0
+        self._probing = False
         self.trips = 0  #: closed/half-open -> open transitions, cumulative
 
     @property
@@ -154,7 +151,7 @@ class CircuitBreaker:
             self._maybe_half_open()
             if self._state == "closed":
                 return True
-            if self._state == "half-open" and not getattr(self, "_probing", False):
+            if self._state == "half-open" and not self._probing:
                 self._probing = True
                 return True
             return False
@@ -178,13 +175,8 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
 
 
-def _retry_after_hint(
-    response: Optional[Tuple[int, Dict[str, Any]]]
-) -> Optional[float]:
-    """The server's ``retry_after_s`` pacing hint, if the payload has one."""
-    if response is None:
-        return None
-    _, payload = response
+def retry_after_hint(payload: Any) -> Optional[float]:
+    """The server's ``retry_after_s`` pacing hint, if *payload* has one."""
     if not isinstance(payload, dict):
         return None
     hint = payload.get("retry_after_s")
@@ -193,98 +185,3 @@ def _retry_after_hint(
     if hint <= 0:
         return None
     return float(hint)
-
-
-class RetryingClient:
-    """Wrap a transport with backoff retries and a circuit breaker.
-
-    Instances are callable with the same signature as the wrapped
-    ``send`` — drop one straight into ``run_closed_loop`` /
-    ``run_open_loop``.  Counters land in the thread-locally installed
-    obs registry (``client.retries``, ``client.transport_failures``,
-    ``client.breaker_trips``, ``client.fast_fails``,
-    ``client.retry_after_honored``) unless one is passed explicitly.
-    """
-
-    def __init__(
-        self,
-        send: Callable[[Dict[str, Any]], Tuple[int, Dict[str, Any]]],
-        policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        rng: Optional[random.Random] = None,
-        sleep: Callable[[float], None] = time.sleep,
-        obs: Optional[Registry] = None,
-    ):
-        self.send = send
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self._rng = rng if rng is not None else random.Random()
-        self._sleep = sleep
-        self._obs = obs
-        self.attempts = 0
-        self.retries = 0
-        self.transport_failures = 0
-        self.fast_fails = 0
-        self.slept_s = 0.0
-
-    def _registry(self) -> Registry:
-        return self._obs if self._obs is not None else current()
-
-    def __call__(self, request: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        """Send with retries; returns the final ``(status, payload)``.
-
-        Raises :class:`CircuitOpenError` when the breaker refuses the
-        call, or the last transport error when every attempt failed at
-        the socket level.  A still-unsuccessful 503/504 after the last
-        attempt is *returned*, not raised — flow control is an answer.
-        """
-        obs = self._registry()
-        policy = self.policy
-        delays = backoff_schedule(policy, self._rng)
-        last_response: Optional[Tuple[int, Dict[str, Any]]] = None
-        last_error: Optional[BaseException] = None
-        trips_before = self.breaker.trips
-        for attempt in range(policy.max_attempts):
-            if not self.breaker.allow():
-                self.fast_fails += 1
-                obs.count("client.fast_fails")
-                raise CircuitOpenError(
-                    f"circuit open after {self.breaker.failure_threshold} "
-                    "consecutive transport failures; not calling"
-                )
-            self.attempts += 1
-            obs.count("client.attempts")
-            try:
-                status, payload = self.send(request)
-            except TRANSPORT_ERRORS as exc:
-                self.transport_failures += 1
-                obs.count("client.transport_failures")
-                self.breaker.record_failure()
-                if self.breaker.trips > trips_before:
-                    trips_before = self.breaker.trips
-                    obs.count("client.breaker_trips")
-                last_error, last_response = exc, None
-            else:
-                self.breaker.record_success()
-                if status not in policy.retry_on:
-                    return status, payload
-                last_response, last_error = (status, payload), None
-            if attempt + 1 >= policy.max_attempts:
-                break
-            delay = next(delays)
-            hint = _retry_after_hint(last_response) if policy.honor_retry_after else None
-            if hint is not None and hint > delay:
-                delay = min(policy.cap_s, hint)
-                obs.count("client.retry_after_honored")
-            self.retries += 1
-            self.slept_s += delay
-            obs.count("client.retries")
-            obs.observe("client.backoff_s", delay, units="s")
-            self._sleep(delay)
-        if last_response is not None:
-            return last_response
-        assert last_error is not None
-        raise last_error
-
-    # ``SendFn`` name parity with ServiceClient.query
-    query = __call__

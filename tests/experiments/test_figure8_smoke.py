@@ -8,6 +8,10 @@ checking the acceptance criteria of DESIGN.md EXP-F8.
 import pytest
 
 from repro.experiments.figure8 import run_figure8
+from repro.experiments.runner import RunSpec, measurement_duration, run_many
+from repro.power.processor import ProcessorSpec
+from repro.tasks.generation import GaussianModel
+from repro.workloads.registry import get_workload
 
 _FAST = dict(ratios=(0.1, 0.5, 1.0), seeds=(1,), duration=500_000.0)
 
@@ -47,3 +51,42 @@ class TestFigure8Shape:
         text = result.render()
         assert "Figure 8" in text
         assert "reduction" in text
+
+
+class _RecordingModel:
+    """Delegates every draw to *inner* and records ``(task, demand)``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.draws = []
+
+    def sample(self, task, rng):
+        demand = self.inner.sample(task, rng)
+        self.draws.append((task.name, demand))
+        return demand
+
+
+class TestPairedDemands:
+    """The paper's comparison is paired: both policies see the same jobs."""
+
+    @pytest.mark.parametrize("app", ["avionics", "ins", "flight_control", "cnc"])
+    def test_fps_and_lpfps_cells_draw_the_same_demands(self, app):
+        # The cells run_figure8 builds at BCET 0.5 for seed 1.
+        base = get_workload(app).prioritized()
+        models = {
+            name: _RecordingModel(GaussianModel()) for name in ("fps", "lpfps")
+        }
+        cells = [
+            RunSpec(
+                taskset=base.with_bcet_ratio(0.5),
+                scheduler=name,
+                seed=1,
+                spec=ProcessorSpec.arm8(),
+                execution_model=model,
+                duration=measurement_duration(base),
+            )
+            for name, model in models.items()
+        ]
+        run_many(cells, jobs=1)
+        assert models["fps"].draws
+        assert models["fps"].draws == models["lpfps"].draws

@@ -2,17 +2,18 @@
 
 The golden trace matrix covers short cells (at most 25 ms, a few dozen
 kernel iterations).  This pin runs the paper's Figure 8 sweep over its
-full measurement horizon for every application at the two ends of the
-BCET range, so drift that only builds up over long runs (accumulated
-energy floats, RNG draw order, residency) is caught on every Python the
-golden suite runs on.  The reference values are the seed-1 figure-8
-campaign the benchmark ledger checks; this test only reads them.
+full measurement horizon for every application and every BCET ratio
+(all 40 points), so drift that only builds up over long runs
+(accumulated energy floats, RNG draw order, residency) is caught on
+every Python the golden suite runs on.  The reference values are the
+seed-1 figure-8 campaign the benchmark ledger checks; this test only
+reads them.
 
-Each reference power is a mean over seeds 1-3 taken with ``sum()``.
-Python 3.12's ``sum()`` rounds float totals with compensated summation,
-which moves the last bit of that mean at 7 of the 40 reference points;
-none of them is at BCET 0.1 or 1.0, so these two ratios hold exactly on
-3.9, 3.11 and 3.12.
+Each reference power is a mean over seeds 1-3.  The seed means are
+accumulated left to right (:func:`repro.experiments.runner.seed_mean`),
+not with ``sum()``, whose compensated summation from Python 3.12 on
+would move the last bit of 7 of the 40 points; so every point holds
+exactly on 3.9, 3.11 and 3.12.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ REFERENCE = (
 )
 
 APPS = ("avionics", "ins", "flight_control", "cnc")
-RATIOS = (0.1, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,9 @@ def reference():
 @pytest.mark.parametrize("app", APPS)
 def test_full_horizon_powers_match_reference(reference, app):
     expected = {ratio: (fps, lpfps) for ratio, fps, lpfps in reference[app]}
-    result = run_figure8(app, ratios=RATIOS, seeds=(1, 2, 3), jobs=1)
+    result = run_figure8(app, ratios=tuple(expected), seeds=(1, 2, 3), jobs=1)
     got = {
         point.bcet_ratio: (point.fps_power, point.lpfps_power)
         for point in result.points
     }
-    assert got == {ratio: expected[ratio] for ratio in RATIOS}
+    assert got == expected

@@ -24,7 +24,8 @@ import pytest
 
 from repro.scenarios import load_pack, parse_scenario
 from repro.scenarios.runner import run_scenario
-from repro.service.client import STREAM_TRANSPORT_ERRORS, ServiceClient
+from repro.service.client import TRANSPORT_ERRORS, ServiceClient
+from repro.service.fleet import FleetClient
 
 pytestmark = pytest.mark.chaos
 
@@ -115,7 +116,7 @@ class TestKillAndResume:
                     if cells >= total // 2:
                         first.sigkill()
                         break
-            except STREAM_TRANSPORT_ERRORS:
+            except TRANSPORT_ERRORS:
                 pass  # the stream died with the server: expected
         finally:
             first.terminate()
@@ -142,7 +143,7 @@ class TestKillAndResume:
                         after = event["seq"]
                     if merged[-1]["kind"] in ("done", "error"):
                         break
-                except STREAM_TRANSPORT_ERRORS:
+                except TRANSPORT_ERRORS:
                     time.sleep(0.2)
             status, metrics = client.metrics()
         finally:
@@ -197,7 +198,8 @@ class TestKillAndResume:
         second = None
         try:
             client = ServiceClient(first.url, timeout_s=60.0)
-            for event in client.resume_scenario(
+            fleet = FleetClient([first.url], client_factory=lambda url: client)
+            for event in fleet.resume_scenario(
                 {"scenario": document},
                 max_reconnects=40,
                 reconnect_delay_s=0.25,

@@ -1,4 +1,4 @@
-"""Retrying client + circuit breaker, with injected clock/sleep/RNG.
+"""One-URL retrying client + circuit breaker, with injected clock/sleep/RNG.
 
 Everything here is deterministic and instantaneous: sleeps are recorded
 rather than slept, the breaker runs on a hand-cranked clock, and the
@@ -8,16 +8,17 @@ promises — no retry storm can sleep longer than
 """
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.service.fleet import FleetClient
 from repro.service.retry import (
     CircuitBreaker,
     CircuitOpenError,
     RetryPolicy,
-    RetryingClient,
     backoff_schedule,
 )
 
@@ -40,7 +41,7 @@ class _ScriptedTransport:
         self.script = list(script)
         self.calls = 0
 
-    def __call__(self, request):
+    def query(self, request):
         self.calls += 1
         item = self.script.pop(0) if self.script else (200, {"ok": True})
         if isinstance(item, BaseException):
@@ -50,12 +51,14 @@ class _ScriptedTransport:
 
 def _client(script, **kwargs):
     sleeps = []
-    client = RetryingClient(
-        _ScriptedTransport(script),
+    breaker = kwargs.pop("breaker", None) or CircuitBreaker()
+    client = FleetClient(
+        ["http://one"],
         policy=kwargs.pop("policy", RetryPolicy(max_attempts=4)),
-        breaker=kwargs.pop("breaker", None),
-        rng=random.Random(1),
+        rng=kwargs.pop("rng", random.Random(1)),
         sleep=sleeps.append,
+        client_factory=lambda url: _ScriptedTransport(script),
+        breaker_factory=lambda: breaker,
         **kwargs,
     )
     return client, sleeps
@@ -170,6 +173,26 @@ class TestBreaker:
         assert breaker.state == "closed"
         assert breaker.allow()
 
+    def test_half_open_admits_one_probe_among_concurrent_callers(self):
+        clock = _FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=30.0,
+                                 clock=clock)
+        breaker.record_failure()
+        clock.advance(30.0)
+        barrier = threading.Barrier(8)
+        admitted = []
+
+        def caller():
+            barrier.wait()
+            admitted.append(breaker.allow())
+
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(admitted) == [False] * 7 + [True]
+
     def test_half_open_probe_failure_reopens(self):
         clock = _FakeClock()
         breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=10.0,
@@ -227,15 +250,12 @@ class TestBackoffBounds:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_client_total_sleep_is_bounded(self, seed):
         policy = RetryPolicy(max_attempts=6, base_s=0.01, cap_s=0.5)
-        client = RetryingClient(
-            _ScriptedTransport([(503, {})] * 10),
-            policy=policy,
-            rng=random.Random(seed),
-            sleep=lambda d: None,
+        client, _ = _client(
+            [(503, {})] * 10, policy=policy, rng=random.Random(seed)
         )
         client({})
         bound = (policy.max_attempts - 1) * policy.cap_s
-        assert client.slept_s <= bound * (1.0 + 1e-9)
+        assert client.backoff_s <= bound * (1.0 + 1e-9)
 
 
 class TestRetryAfter:
@@ -264,7 +284,7 @@ class TestRetryAfter:
         client({})
         assert sleeps == [0.5]
         bound = (client.policy.max_attempts - 1) * client.policy.cap_s
-        assert client.slept_s <= bound
+        assert client.backoff_s <= bound
 
     def test_honor_retry_after_false_ignores_the_hint(self):
         client, sleeps = _client(

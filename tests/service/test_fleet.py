@@ -10,6 +10,7 @@ exercised separately in ``tests/resilience/test_fleet_chaos.py``.
 from __future__ import annotations
 
 import random
+import urllib.error
 
 import pytest
 
@@ -39,7 +40,7 @@ class _Replica:
         self.dead = dead
         self.calls = 0
 
-    def __call__(self, request):
+    def query(self, request):
         self.calls += 1
         if self.dead:
             raise ConnectionError(f"{self.name} is dead")
@@ -54,7 +55,7 @@ def _fleet(replicas, **kwargs):
         policy=kwargs.pop("policy", RetryPolicy(max_attempts=4)),
         rng=kwargs.pop("rng", random.Random(1)),
         sleep=sleeps.append,
-        transport_factory=transports.__getitem__,
+        client_factory=transports.__getitem__,
         **kwargs,
     )
     return client, sleeps
@@ -83,7 +84,7 @@ class TestFailover:
             assert payload["replica"] == "b"
         # Failover is immediate re-issue, never a backoff sleep.
         assert sleeps == []
-        assert client.failovers > 0
+        assert client.transport_failures > 0
 
     def test_dead_replica_is_ejected_by_its_breaker(self):
         replicas = [_Replica("a", dead=True), _Replica("b")]
@@ -125,15 +126,20 @@ class TestFailover:
             breakers[len(breakers)] = breaker
             return breaker
 
-        client, _ = _fleet(
+        client, sleeps = _fleet(
             replicas,
-            policy=RetryPolicy(max_attempts=2),
+            policy=RetryPolicy(max_attempts=4),
             breaker_factory=factory,
         )
-        with pytest.raises(ConnectionError):
-            client({})                   # trips both breakers
+        # Pass 1 trips both breakers; pass 2 finds nothing to dial and
+        # fails fast instead of sleeping through the remaining passes.
+        with pytest.raises(CircuitOpenError, match="ConnectionError") as info:
+            client({})
+        assert isinstance(info.value.__cause__, ConnectionError)
+        assert client.fast_fails == 1 and len(sleeps) == 1
         with pytest.raises(CircuitOpenError):
             client({})                   # nothing left to dial
+        assert client.attempts == 2
 
 
 class TestFlowControl:
@@ -142,7 +148,7 @@ class TestFlowControl:
             def __init__(self):
                 self.calls = 0
 
-            def __call__(self, request):
+            def query(self, request):
                 self.calls += 1
                 if self.calls == 1:
                     return 503, {"ok": False, "queue_depth": 9}
@@ -154,7 +160,7 @@ class TestFlowControl:
             policy=RetryPolicy(max_attempts=3),
             rng=random.Random(1),
             sleep=lambda d: None,
-            transport_factory=lambda url: shedding,
+            client_factory=lambda url: shedding,
         )
         status, _ = client({})
         assert status == 200
@@ -162,10 +168,9 @@ class TestFlowControl:
         assert client.retries == 1
 
     def test_exhaustion_returns_last_flow_control_answer(self):
-        client, sleeps = _fleet(
-            [_Replica("a")], policy=RetryPolicy(max_attempts=3)
-        )
-        client._targets[0].send = lambda request: (503, {"ok": False})
+        shedding = _Replica("a")
+        shedding.query = lambda request: (503, {"ok": False})
+        client, sleeps = _fleet([shedding], policy=RetryPolicy(max_attempts=3))
         status, payload = client({})
         assert status == 503
         assert len(sleeps) == 2  # never sleeps after the final pass
@@ -176,8 +181,8 @@ class TestFlowControl:
         client, _ = _fleet(replicas)
         with installed(registry):
             client({})
-        assert registry.counter_value("fleet.attempts") == 2
-        assert registry.counter_value("fleet.failovers") == 1
+        assert registry.counter_value("client.attempts") == 2
+        assert registry.counter_value("client.transport_failures") == 1
 
 
 class TestDeterminism:
@@ -186,13 +191,14 @@ class TestDeterminism:
     def test_same_seed_same_backoff_schedule(self):
         def run(seed):
             sleeps = []
-            shed = lambda request: (503, {"ok": False})  # noqa: E731
+            shed = _Replica("a")
+            shed.query = lambda request: (503, {"ok": False})
             client = FleetClient(
                 ["http://a"],
                 policy=RetryPolicy(max_attempts=6),
                 rng=random.Random(seed),
                 sleep=sleeps.append,
-                transport_factory=lambda url: shed,
+                client_factory=lambda url: shed,
             )
             client({})
             return sleeps
@@ -305,7 +311,7 @@ def _scenario_fleet(clients, **kwargs):
     sleeps = []
     fleet = FleetClient(
         list(by_url),
-        scenario_client_factory=by_url.__getitem__,
+        client_factory=by_url.__getitem__,
         sleep=sleeps.append,
         **kwargs,
     )
@@ -325,7 +331,7 @@ class TestFleetResumeScenario:
         assert events[-1]["kind"] == "done"
         assert a.streams == 1 and b.streams == 1
         # The resumed attachment asked only for the unseen tail.
-        assert registry.counter_value("fleet.scenario_failovers") == 1
+        assert registry.counter_value("client.stream_failovers") == 1
         assert len(sleeps) == 1
 
     def test_healthy_replica_streams_in_one_attachment(self):
@@ -334,6 +340,29 @@ class TestFleetResumeScenario:
         events = list(fleet.resume_scenario({"pack": "weakly_hard"}))
         assert [e["seq"] for e in events] == [1, 2, 3]
         assert sleeps == []
+
+    def test_http_error_on_stream_reattaches_without_tripping(self):
+        class _Evicting(_ScriptedScenarioClient):
+            def stream(self, campaign_id, after=0):
+                if self.streams == 0:  # the first attachment finds a 410
+                    self.streams += 1
+                    raise urllib.error.HTTPError(
+                        "http://a/v1/stream/cabc", 410, "Gone", None, None
+                    )
+                yield from super().stream(campaign_id, after)
+
+        a = _Evicting("a", _events(1, 2))
+        fleet, sleeps = _scenario_fleet(
+            [a],
+            breaker_factory=lambda: CircuitBreaker(
+                failure_threshold=1, reset_timeout_s=60.0
+            ),
+        )
+        events = list(fleet.resume_scenario({"pack": "weakly_hard"}))
+        assert [e["seq"] for e in events] == [1, 2, 3]
+        assert a.submits == 2 and len(sleeps) == 1  # one re-POST
+        assert fleet.breaker_states() == {"http://a": "closed"}
+        assert fleet.transport_failures == 0
 
     def test_non_200_submission_raises(self):
         a = _ScriptedScenarioClient(
@@ -357,9 +386,7 @@ class TestFleetResumeScenario:
 
         alive = _ScriptedScenarioClient("b", [])
         clients = {"http://a": _DeadScenarioClient(), "http://b": alive}
-        fleet = FleetClient(
-            list(clients), scenario_client_factory=clients.__getitem__
-        )
+        fleet = FleetClient(list(clients), client_factory=clients.__getitem__)
         status, payload = fleet.submit_scenario({"pack": "weakly_hard"})
         assert status == 200 and payload["campaign_id"] == "cabc"
-        assert fleet.failovers == 1
+        assert fleet.transport_failures == 1

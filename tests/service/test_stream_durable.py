@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.obs.registry import Registry
 from repro.service.client import ServiceClient
 from repro.service.durability import CampaignStore, campaign_key
+from repro.service.fleet import FleetClient
 from repro.service.server import ScheduleService, running_server
 from repro.service.stream import CampaignEvicted, CampaignHub
 
@@ -574,7 +575,9 @@ def durable_run(tmp_path_factory):
         assert status == 200, again
         artifacts["resubmit"] = again
         artifacts["resumed"] = list(
-            client.resume_scenario({"pack": "weakly_hard"}, max_reconnects=1)
+            FleetClient([server.url], timeout_s=60.0).resume_scenario(
+                {"pack": "weakly_hard"}, max_reconnects=1
+            )
         )
     service.close()
 

@@ -13,6 +13,7 @@ import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -159,6 +160,20 @@ class TestQueryCommand:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
+
+    def test_unreachable_server_is_one_error_line(self, capsys):
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main([
+            "query", "--kind", "rta", "--app", "ins",
+            "--url", f"http://127.0.0.1:{port}", "--max-attempts", "2",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "refused" in lines[0].lower()
 
     def test_cache_dir_makes_second_call_a_disk_hit(self, tmp_path, capsys):
         argv = [
