@@ -115,12 +115,12 @@ def test_batched_broker_vs_sequential_dispatch(artifact, metrics_out):
     service = ScheduleService(jobs=1)
     try:
         report = run_closed_loop(broker_send(service), requests, concurrency=8)
-        counters = service.stats.snapshot()
     finally:
         service.close()
 
+    counter = service.obs.counter_value
     assert report.ok == report.requests == len(requests)
-    assert counters["dispatched"] == len(unique_requests()), (
+    assert counter("broker.dispatched") == len(unique_requests()), (
         "every unique cell simulates exactly once; repeats are served by "
         "the cache or in-flight dedupe"
     )
@@ -136,10 +136,10 @@ def test_batched_broker_vs_sequential_dispatch(artifact, metrics_out):
             f"{'broker (cache+dedupe+micro-batch)':<38}"
             f" {report.wall_s:>8.3f} s",
             f"{'speedup':<38} {speedup:>8.2f} x",
-            f"dispatched={counters['dispatched']} "
-            f"cache_hits={counters['cache_hits']} "
-            f"dedup_hits={counters['dedup_hits']} "
-            f"batches={counters['batches']}",
+            f"dispatched={counter('broker.dispatched')} "
+            f"cache_hits={counter('cache.hits_memory')} "
+            f"dedup_hits={counter('broker.dedup_hits')} "
+            f"batches={counter('broker.batches')}",
         ]
     )
     artifact("service_throughput", text)
@@ -149,7 +149,7 @@ def test_batched_broker_vs_sequential_dispatch(artifact, metrics_out):
     metrics_out("broker_speedup", speedup, "x")
     metrics_out("unique_cells", len(unique_requests()))
     metrics_out("requests", len(requests))
-    metrics_out("batches", counters["batches"])
+    metrics_out("batches", counter("broker.batches"))
     assert speedup >= 5.0, (
         f"batched broker must beat sequential dispatch >=5x on repeated "
         f"traffic, got {speedup:.2f}x"
@@ -164,7 +164,6 @@ def test_open_loop_zero_drops_under_admission_control(artifact, metrics_out):
         send = broker_send(service)
         requests = sweep_requests()
         report = run_open_loop(send, requests, rate_rps=150.0, workers=16)
-        counters = service.stats.snapshot()
     finally:
         service.close()
 
@@ -194,4 +193,4 @@ def test_open_loop_zero_drops_under_admission_control(artifact, metrics_out):
         f"open-loop run must drop nothing: shed={report.shed} "
         f"timeouts={report.timeouts} failures={report.failures}"
     )
-    assert counters["shed"] == 0
+    assert service.obs.counter_value("broker.shed") == 0

@@ -68,6 +68,28 @@ def _num(value: float) -> str:
     return repr(float(value))
 
 
+def canonical_tasks(taskset) -> List[Dict[str, Any]]:
+    """The one canonical, JSON-ready encoding of a task list.
+
+    Sorted by name, every time parameter in shortest round-trip float
+    form.  Journal keys, service query fingerprints and scenario
+    fingerprints all hash tasks through these bytes, so identical tasks
+    address identically in every layer.
+    """
+    return [
+        {
+            "name": task.name,
+            "wcet": _num(task.wcet),
+            "period": _num(task.period),
+            "deadline": _num(task.deadline),
+            "bcet": _num(task.bcet),
+            "phase": _num(task.phase),
+            "priority": None if task.priority is None else int(task.priority),
+        }
+        for task in sorted(taskset, key=lambda t: t.name)
+    ]
+
+
 def _protocol_payload(obj: Any) -> Optional[Dict[str, Any]]:
     """The ``checkpoint_payload()`` self-description of *obj*, if any.
 
@@ -176,24 +198,11 @@ def canonical_spec_payload(spec: "RunSpec") -> Optional[Dict[str, Any]]:
     model_repr = None if model is None else repr(model)
     if model_repr is not None and "0x" in model_repr:
         return None
-    tasks = []
-    for task in sorted(spec.taskset, key=lambda t: t.name):
-        tasks.append(
-            {
-                "name": task.name,
-                "wcet": _num(task.wcet),
-                "period": _num(task.period),
-                "deadline": _num(task.deadline),
-                "bcet": _num(task.bcet),
-                "phase": _num(task.phase),
-                "priority": None if task.priority is None else int(task.priority),
-            }
-        )
     spec_proc = spec.spec
     return {
         "v": JOURNAL_VERSION,
         "taskset": spec.taskset.name,
-        "tasks": tasks,
+        "tasks": canonical_tasks(spec.taskset),
         "scheduler": scheduler,
         "seed": int(spec.seed),
         "processor": None if spec_proc is None else repr(spec_proc),

@@ -331,6 +331,12 @@ def _take_pool(width: int) -> Tuple[int, ProcessPoolExecutor]:
     if stale is not None:
         if _pool_alive(stale[1]):
             return stale
+        # After one worker is SIGKILLed, a survivor can stay blocked on
+        # the shared call queue, and shutdown(wait=True) would join it
+        # forever: kill and reap the remaining workers first.
+        for process in list(stale[1]._processes.values()):
+            process.kill()
+            process.join()
         stale[1].shutdown(wait=True, cancel_futures=True)
     return width, ProcessPoolExecutor(max_workers=width, initializer=_watch_parent)
 

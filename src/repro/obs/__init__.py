@@ -10,9 +10,10 @@ for every hot layer of the system with zero external dependencies:
 * the campaign executor (:func:`repro.experiments.runner.run_many`)
   gauges resolved worker counts and per-cell wall times into the
   thread-locally :func:`installed <installed>` registry;
-* the service broker times its stages (cache lookup, dedupe, batch
-  window, dispatch, serialize) into a long-lived registry surfaced by
-  ``GET /v1/metrics``.
+* the service counts requests and cache tiers, records per-path
+  latency histograms and times the broker's stages (cache lookup,
+  dedupe, batch window, dispatch, serialize) into one long-lived
+  registry, its only metrics sink, surfaced by ``GET /v1/metrics``.
 
 Everything serialises to the repo-wide **bench-metrics/v1** schema
 (:mod:`repro.obs.schema`), so profiler output, campaign manifests, and

@@ -154,6 +154,11 @@ class Registry:
             gauge = self._gauges.get(name)
             return gauge.value if gauge is not None else 0.0
 
+    def histogram_mean(self, name: str) -> float:
+        with self._lock:
+            histogram = self._histograms.get(name)
+            return histogram.mean if histogram is not None else 0.0
+
     def span_stat(self, name: str) -> Optional[SpanStat]:
         with self._lock:
             return self._spans.get(name)

@@ -41,15 +41,12 @@ from ..analysis.weakly_hard import (
     weakly_hard_demand,
 )
 from ..errors import ConfigurationError
+from ..experiments.checkpoint import canonical_tasks
 from ..faults.guards import MISS_POLICIES, GuardConfig
 from ..faults.injectors import available_injectors, make_injector
 from ..faults.layer import FaultLayer
 from ..power.processor import ProcessorSpec
-from ..service.fingerprint import (
-    FINGERPRINT_VERSION,
-    canonical_tasks,
-    taskset_fingerprint,
-)
+from ..service.fingerprint import FINGERPRINT_VERSION, taskset_fingerprint
 from ..tasks.generation import (
     BcetModel,
     BimodalModel,

@@ -16,8 +16,6 @@ the analysis substrate.  The pieces compose bottom-up:
 * :mod:`~repro.service.broker` — the async request broker: admission
   control, in-flight dedupe, micro-batching of cache misses onto
   :func:`repro.experiments.runner.run_many`, per-request timeouts.
-* :mod:`~repro.service.stats` — service counters and latency
-  percentiles, exported in the bench-metrics/v1 schema.
 * :mod:`~repro.service.server` — the stdlib HTTP front end
   (``lpfps serve``).
 * :mod:`~repro.service.client` — the HTTP transport plus closed- and
@@ -50,7 +48,6 @@ from .query import Query, QueryError, parse_query
 from .results import encode_result, execute_analytic
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 from .server import ScheduleService, serve_forever
-from .stats import ServiceStats
 from .supervisor import FleetError, FleetSupervisor, RestartBudget
 
 __all__ = [
@@ -65,7 +62,6 @@ __all__ = [
     "RetryPolicy",
     "ScheduleService",
     "ServiceGuards",
-    "ServiceStats",
     "canonical_payload",
     "encode_result",
     "execute_analytic",

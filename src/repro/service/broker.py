@@ -39,12 +39,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError, ReproError, ServiceError
 from ..experiments.runner import resolve_jobs, run_many
-from ..obs.registry import DISABLED, Registry, install
+from ..obs.registry import Registry, install
 from .cache import ResultCache
 from .fingerprint import fingerprint
 from .query import Query
 from .results import encode_result, error_payload, execute_analytic
-from .stats import ServiceStats
 
 
 class AdmissionError(ServiceError):
@@ -53,7 +52,7 @@ class AdmissionError(ServiceError):
     Carries the degradation context clients need to retry *well*:
     ``queue_depth`` (unique simulations in flight when the request was
     shed) and ``retry_after_s`` (the broker's estimate of when capacity
-    frees up, from recent miss latencies) — the HTTP layer surfaces them
+    frees up, from the mean miss latency) — the HTTP layer surfaces them
     as the payload's ``queue_depth`` and the ``Retry-After`` header.
     """
 
@@ -152,16 +151,16 @@ class Broker:
         cache: Optional[ResultCache] = None,
         guards: Optional[ServiceGuards] = None,
         jobs: Optional[int] = 0,
-        stats: Optional[ServiceStats] = None,
         obs: Optional[Registry] = None,
     ):
-        self.cache = cache if cache is not None else ResultCache()
+        #: The broker's only metrics sink: request counters
+        #: (``broker.*``), per-path latency histograms and stage spans.
+        #: A broker built without one owns a private registry, so it
+        #: still counts.
+        self.obs = obs if obs is not None else Registry()
+        self.cache = cache if cache is not None else ResultCache(obs=self.obs)
         self.guards = guards if guards is not None else ServiceGuards()
         self.jobs = resolve_jobs(jobs)
-        self.stats = stats if stats is not None else ServiceStats()
-        #: Stage-level spans/counters; ``DISABLED`` when nobody injected
-        #: a registry, so the span context managers cost one branch.
-        self.obs = obs if obs is not None else DISABLED
         self._queue: "queue.Queue[Tuple[str, Query]]" = queue.Queue()
         self._inflight: Dict[str, "Future[dict]"] = {}
         self._lock = threading.Lock()
@@ -176,13 +175,12 @@ class Broker:
         """Admit one query; returns a future resolving to its payload."""
         if self._closed.is_set():
             raise BrokerClosed("broker is closed")
-        self.stats.count("requests")
         obs = self.obs
+        obs.count("broker.requests")
         key = fingerprint(query)
         with obs.span("broker.cache_lookup"):
             cached = self.cache.get(key)
         if cached is not None:
-            self.stats.count("cache_hits")
             done: "Future[dict]" = Future()
             done.set_result(cached)
             return Submission(done, "hit", key)
@@ -197,10 +195,10 @@ class Broker:
         with obs.span("broker.dedupe"), self._lock:
             existing = self._inflight.get(key)
             if existing is not None:
-                self.stats.count("dedup_hits")
+                obs.count("broker.dedup_hits")
                 return Submission(existing, "dedup", key)
             if len(self._inflight) >= self.guards.max_pending:
-                self.stats.count("shed")
+                obs.count("broker.shed")
                 depth = len(self._inflight)
                 raise AdmissionError(
                     f"{depth} requests in flight "
@@ -210,7 +208,7 @@ class Broker:
                 )
             future = Future()
             self._inflight[key] = future
-        self.stats.count("dispatched")
+        obs.count("broker.dispatched")
         self._queue.put((key, query))
         return Submission(future, "miss", key)
 
@@ -228,7 +226,7 @@ class Broker:
         try:
             payload = submission.future.result(timeout=deadline)
         except FutureTimeout:
-            self.stats.count("timeouts")
+            self.obs.count("broker.timeouts")
             raise RequestTimeout(
                 f"no answer within {deadline:g}s (query {submission.fingerprint[:12]}); "
                 "the result will be cached when it completes — retry"
@@ -236,7 +234,7 @@ class Broker:
         path = "hit" if submission.path in ("hit", "dedup") else (
             "analytic" if submission.path == "analytic" else "miss"
         )
-        self.stats.record_latency(path, time.perf_counter() - start)
+        self.obs.observe(f"broker.latency_{path}", time.perf_counter() - start)
         return payload
 
     def pending(self) -> int:
@@ -247,19 +245,17 @@ class Broker:
     def retry_after_s(self, depth: Optional[int] = None) -> float:
         """Estimate how long a shed client should wait before retrying.
 
-        The queue drains roughly one miss-latency per ``jobs`` workers
-        per pending request, so the estimate is ``p50(miss latency) *
-        depth / jobs``, clamped to ``[1, 60]`` seconds.  With no miss
-        samples yet the honest answer is the old floor of one second.
+        Draining *depth* queued misses over ``jobs`` workers takes about
+        ``depth * mean(miss latency) / jobs``, clamped to ``[1, 60]``
+        seconds.  With no miss observed yet the honest answer is the
+        floor of one second.
         """
-        from .stats import percentile
-
         if depth is None:
             depth = self.pending()
-        p50 = percentile(self.stats.samples("miss"), 0.5)
-        if p50 <= 0.0 or depth <= 0:
+        mean = self.obs.histogram_mean("broker.latency_miss")
+        if mean <= 0.0 or depth <= 0:
             return 1.0
-        return min(60.0, max(1.0, p50 * depth / max(1, self.jobs)))
+        return min(60.0, max(1.0, mean * depth / max(1, self.jobs)))
 
     def _effective_window(self) -> float:
         """The batch window adapted to the current backlog.
@@ -283,7 +279,6 @@ class Broker:
         load = pending / self.guards.max_pending
         if load < 0.5:
             return window
-        self.stats.count("window_shrinks")
         self.obs.count("broker.window_shrinks")
         return 0.0 if load >= 0.75 else window * 0.25
 
@@ -314,7 +309,7 @@ class Broker:
 
         # The dispatcher thread's ambient registry: run_many's campaign
         # gauges land next to the broker's own stage spans.
-        install(self.obs if self.obs.enabled else None)
+        install(self.obs)
         obs = self.obs
         while not self._closed.is_set():
             try:
@@ -336,9 +331,9 @@ class Broker:
 
     def _run_batch(self, batch: List[Tuple[str, Query]]) -> None:
         """Run one micro-batch as a single campaign; contain failures."""
-        self.stats.count("batches")
-        self.stats.count("batched_cells", len(batch))
         obs = self.obs
+        obs.count("broker.batches")
+        obs.count("broker.batched_cells", len(batch))
         obs.observe(
             "broker.batch_size",
             float(len(batch)),
@@ -365,7 +360,7 @@ class Broker:
             else:
                 # One bad cell must not fail its batch neighbours: rerun
                 # serially with per-cell containment (the guard idiom).
-                self.stats.count("fallbacks")
+                obs.count("broker.fallbacks")
                 with obs.span("broker.dispatch"):
                     for key, query in batch:
                         try:
@@ -385,7 +380,7 @@ class Broker:
         for key, payload in payloads.items():
             self.cache.put(key, payload)
             if not payload.get("ok", True):
-                self.stats.count("errors")
+                self.obs.count("broker.errors")
         futures: Dict[str, "Future[dict]"] = {}
         with self._lock:
             for key in list(payloads) + list(failures):
@@ -396,5 +391,5 @@ class Broker:
             if key in payloads:
                 future.set_result(payloads[key])
             else:
-                self.stats.count("errors")
+                self.obs.count("broker.errors")
                 future.set_exception(failures[key])

@@ -9,9 +9,7 @@ the tiers may be shared between processes and across service restarts.
 * The **memory tier** is a bounded LRU (an ``OrderedDict`` moved-to-end
   on access); eviction only forgets the fast copy, never the answer.
   The bound is explicit (``memory_items``, 0 disables the tier) and
-  every eviction is counted — locally (``evictions``, exported as
-  ``cache_evictions`` by :meth:`ResultCache.counters`) and, when a
-  registry is injected, as the obs counter ``cache.mem_evictions`` so
+  every eviction is counted as ``cache.mem_evictions``, so
   ``/v1/metrics`` surfaces silent memory-pressure churn.
 * The **disk tier** stores one JSON file per fingerprint, sharded by the
   first two hex digits, written atomically
@@ -88,7 +86,12 @@ def open_entry(key: str, document: Any) -> Tuple[Optional[Dict[str, Any]], str]:
 
 
 class ResultCache:
-    """Two-tier content-addressed store for response payloads."""
+    """Two-tier content-addressed store for response payloads.
+
+    Every lookup and store is counted in :attr:`obs` (``cache.hits_memory``,
+    ``cache.hits_disk``, ``cache.misses``, ``cache.puts``); a cache built
+    without a registry owns a private one, so it still counts.
+    """
 
     def __init__(
         self,
@@ -101,13 +104,8 @@ class ResultCache:
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._memory_items = memory_items
         self._disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self._obs = obs if obs is not None else DISABLED
+        self.obs = obs if obs is not None else Registry()
         self._lock = threading.Lock()
-        self.hits_memory = 0
-        self.hits_disk = 0
-        self.misses = 0
-        self.puts = 0
-        self.evictions = 0
 
     # -- lookup --------------------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -126,23 +124,22 @@ class ResultCache:
             payload = self._memory.get(key)
             if payload is not None:
                 self._memory.move_to_end(key)
-                self.hits_memory += 1
+                self.obs.count("cache.hits_memory")
                 return payload, "memory"
         payload = self._disk_read(key)
         if payload is not None:
             with self._lock:
-                self.hits_disk += 1
+                self.obs.count("cache.hits_disk")
                 self._memory_put(key, payload)
             return payload, "disk"
-        with self._lock:
-            self.misses += 1
+        self.obs.count("cache.misses")
         return None, "miss"
 
     # -- store ---------------------------------------------------------------
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store *payload* under *key* in both tiers."""
         with self._lock:
-            self.puts += 1
+            self.obs.count("cache.puts")
             self._memory_put(key, payload)
         self._disk_write(key, payload)
 
@@ -153,8 +150,7 @@ class ResultCache:
         self._memory.move_to_end(key)
         while len(self._memory) > self._memory_items:
             self._memory.popitem(last=False)
-            self.evictions += 1
-            self._obs.count("cache.mem_evictions")
+            self.obs.count("cache.mem_evictions")
 
     # -- disk tier -----------------------------------------------------------
     def _disk_path(self, key: str) -> Optional[Path]:
@@ -173,7 +169,7 @@ class ResultCache:
             return None
         except (OSError, ValueError):
             # Torn or corrupt entry: drop it and recompute.
-            self._obs.count("cache.disk_corrupt")
+            self.obs.count("cache.disk_corrupt")
             try:
                 path.unlink()
             except OSError:
@@ -184,7 +180,7 @@ class ResultCache:
             # Checksum or identity failure: a wrong hit is the one
             # outcome the cache must never produce, so the entry is
             # swept and the lookup degrades to a miss.
-            self._obs.count("cache.disk_corrupt")
+            self.obs.count("cache.disk_corrupt")
             try:
                 path.unlink()
             except OSError:
@@ -208,18 +204,6 @@ class ResultCache:
         """Entries currently resident in the memory tier."""
         with self._lock:
             return len(self._memory)
-
-    def counters(self) -> Dict[str, int]:
-        """Counter snapshot for the metrics endpoint."""
-        with self._lock:
-            return {
-                "cache_hits_memory": self.hits_memory,
-                "cache_hits_disk": self.hits_disk,
-                "cache_misses": self.misses,
-                "cache_puts": self.puts,
-                "cache_evictions": self.evictions,
-                "cache_memory_entries": len(self._memory),
-            }
 
 
 # -- integrity scrubber ------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -25,7 +26,6 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .stats import percentile
 from .stream import parse_sse
 
 #: A transport: JSON request dict in, (HTTP-like status, payload) out.
@@ -36,6 +36,21 @@ SendFn = Callable[[Dict[str, Any]], Tuple[int, Dict[str, Any]]]
 #: are ``OSError``s) plus protocol-level carnage from a SIGKILL
 #: mid-response.  Retryable, and counted by circuit breakers.
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The *q*-quantile (0..1) of *samples* by linear interpolation."""
+    if not samples:
+        return 0.0
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    ordered = sorted(samples)
+    pos = q * (len(ordered) - 1)
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return ordered[lo]
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 class ServiceClient:

@@ -5,7 +5,9 @@ JSON rendering in which every degree of freedom that cannot change the
 answer has been normalised away:
 
 * **task order** — tasks are sorted by name; the answer depends on the
-  (name → parameters, priority) mapping, never on list order;
+  (name → parameters, priority) mapping, never on list order.  The task
+  list is encoded by :func:`repro.experiments.checkpoint.canonical_tasks`,
+  the one encoder journal keys and scenario fingerprints also use;
 * **numeric representation** — every time parameter is rendered with
   ``repr(float(...))``, the shortest round-trip form, so ``2000``,
   ``2000.0``, ``2e3``, and a request phrased as ``2`` ms (scaled to µs
@@ -23,42 +25,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
+from ..experiments.checkpoint import _num, canonical_tasks
 from .query import Query
 
 #: Bumped whenever the canonical payload layout changes, so stale disk
 #: cache entries from older layouts can never alias a new fingerprint.
 FINGERPRINT_VERSION = 1
-
-
-def _num(value: float) -> str:
-    """Canonical string form of one numeric parameter."""
-    return repr(float(value))
-
-
-def canonical_tasks(taskset) -> List[Dict[str, Any]]:
-    """Canonical, JSON-ready task list shared by every fingerprint layer.
-
-    Sorted by name, every time parameter in shortest round-trip float
-    form — the exact encoding :func:`canonical_payload` has always used,
-    extracted so scenario fingerprints compose with query fingerprints
-    (identical tasks hash through identical bytes in both).
-    """
-    tasks: List[Dict[str, Any]] = []
-    for task in sorted(taskset, key=lambda t: t.name):
-        tasks.append(
-            {
-                "name": task.name,
-                "wcet": _num(task.wcet),
-                "period": _num(task.period),
-                "deadline": _num(task.deadline),
-                "bcet": _num(task.bcet),
-                "phase": _num(task.phase),
-                "priority": int(task.priority),
-            }
-        )
-    return tasks
 
 
 def taskset_fingerprint(taskset) -> str:

@@ -1,7 +1,7 @@
 """The stdlib HTTP front end and the service facade.
 
-:class:`ScheduleService` wires one cache, one broker, and one stats
-sink together; it is the object both the HTTP server and in-process
+:class:`ScheduleService` wires one cache, one broker, and one metrics
+registry together; it is the object both the HTTP server and in-process
 callers (the CLI's ``lpfps query`` without ``--url``, the benchmarks)
 talk to.
 
@@ -16,9 +16,9 @@ transport in the broker.  Endpoints:
   400 on malformed queries, 503 when shed by admission control
   (with ``Retry-After``), 504 on per-request timeout.
 * ``GET /v1/health`` — liveness.
-* ``GET /v1/metrics`` — counters + latency percentiles, plus the
-  broker's stage spans and campaign gauges, in the bench-metrics/v1
-  schema (``tests.service`` and ``tests.obs`` respectively).
+* ``GET /v1/metrics`` — the service registry (request and cache
+  counters, latency histograms, stage spans, campaign gauges) as one
+  bench-metrics/v1 ``tests.service`` entry.
 * ``GET /v1/schedulers`` / ``GET /v1/workloads`` — registry listings.
 * ``GET /v1/scenarios`` — bundled scenario pack names.
 * ``POST /v1/scenario`` — validate a scenario (``{"pack": name}`` or
@@ -46,7 +46,6 @@ from .broker import AdmissionError, Broker, RequestTimeout, ServiceGuards
 from .cache import ResultCache, scrub_cache
 from .durability import CampaignStore, campaign_key
 from .query import Query, QueryError, parse_query
-from .stats import ServiceStats
 from .stream import CampaignEvicted, CampaignHub, TERMINAL_KINDS, sse_render
 
 #: Largest accepted request body, bytes — queries are small; anything
@@ -67,7 +66,7 @@ _STATUS_KINDS = {
 
 
 class ScheduleService:
-    """One serving stack: stats + two-tier cache + micro-batching broker."""
+    """One serving stack: registry + two-tier cache + micro-batching broker."""
 
     def __init__(
         self,
@@ -78,9 +77,8 @@ class ScheduleService:
         checkpoint_dir: Union[None, str, Path] = None,
         scrub_on_start: bool = True,
     ):
-        self.stats = ServiceStats()
-        #: Long-lived stage spans + campaign gauges for the whole stack,
-        #: surfaced by ``GET /v1/metrics`` next to the counters.
+        #: The stack's one metrics sink, shared by cache, broker and
+        #: campaigns and exported whole by ``GET /v1/metrics``.
         self.obs = Registry()
         if scrub_on_start and cache_dir is not None:
             # Quarantine anything a crash or bit rot left behind before
@@ -91,11 +89,7 @@ class ScheduleService:
             memory_items=memory_items, disk_dir=cache_dir, obs=self.obs
         )
         self.broker = Broker(
-            cache=self.cache,
-            guards=guards,
-            jobs=jobs,
-            stats=self.stats,
-            obs=self.obs,
+            cache=self.cache, guards=guards, jobs=jobs, obs=self.obs
         )
         #: Checkpoint directory shared by the cell journal and the
         #: campaign store; None keeps campaigns memory-only (pre-PR 10).
@@ -410,16 +404,10 @@ class ScheduleService:
         return resumed
 
     def metrics(self) -> Dict[str, Any]:
-        """bench-metrics/v1 snapshot of the whole stack.
-
-        Two ``tests`` entries: ``service`` carries the request counters
-        and latency percentiles (as before), ``obs`` the broker stage
-        spans (cache lookup, dedupe, batch window, dispatch, serialize)
-        and the campaign executor's gauges.
-        """
-        payload = self.stats.to_bench_metrics(self.cache.counters())
-        payload["tests"]["obs"] = self.obs.test_record()
-        return payload
+        """bench-metrics/v1 snapshot of the whole stack: one ``service``
+        entry holding every instrument of :attr:`obs`."""
+        self.obs.gauge("cache.memory_entries", len(self.cache))
+        return self.obs.to_bench_metrics(benchmark="service", test="service")
 
     def close(self) -> None:
         """Shut the broker down; idempotent."""

@@ -180,7 +180,7 @@ class TestKillAndResume:
         # The resumed server exported the durability counters.
         values = {
             row["name"]: row["value"]
-            for row in metrics["tests"]["obs"]["metrics"]
+            for row in metrics["tests"]["service"]["metrics"]
         }
         assert values.get("stream.campaigns_resumed", 0) == 1
         assert values.get("cache.scrub_manifests", 0) >= 1

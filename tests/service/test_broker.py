@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.registry import Registry
 from repro.service.broker import (
     AdmissionError,
     Broker,
@@ -72,7 +73,7 @@ class TestDedupe:
             assert first.path == "miss"
             assert second.path == "dedup"
             assert second.future is first.future
-            assert broker.stats.snapshot()["dispatched"] == 1
+            assert broker.obs.counter_value("broker.dispatched") == 1
             assert first.future.result(timeout=60)["ok"] is True
 
     def test_dedup_bypasses_admission_control(self):
@@ -91,8 +92,27 @@ class TestAdmission:
             first = broker.submit(_energy(seed=1))
             with pytest.raises(AdmissionError, match="max_pending=1"):
                 broker.submit(_energy(seed=2))
-            assert broker.stats.snapshot()["shed"] == 1
+            assert broker.obs.counter_value("broker.shed") == 1
             assert first.future.result(timeout=60)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "depth, expected",
+        [
+            (6, 3.0),  # inside the range: mean 1.0 s * 6 / 2 workers
+            (1, 1.0),  # 0.5 s clamps up to the 1 s floor
+            (1_000, 60.0),  # 500 s clamps down to the 60 s cap
+        ],
+    )
+    def test_retry_after_scales_mean_miss_latency(self, depth, expected):
+        registry = Registry()
+        for seconds in (0.5, 1.5):  # mean 1.0 s
+            registry.observe("broker.latency_miss", seconds)
+        with Broker(cache=ResultCache(), jobs=2, obs=registry) as broker:
+            assert broker.retry_after_s(depth) == pytest.approx(expected)
+
+    def test_retry_after_without_samples_is_one_second(self):
+        with Broker(cache=ResultCache(), jobs=2) as broker:
+            assert broker.retry_after_s(10) == 1.0
 
     def test_guards_validate_configuration(self):
         with pytest.raises(ConfigurationError):
@@ -112,9 +132,11 @@ class TestBatching:
             submissions = [broker.submit(_energy(seed=s)) for s in (1, 2, 3)]
             for submission in submissions:
                 assert submission.future.result(timeout=60)["ok"] is True
-            counters = broker.stats.snapshot()
-            assert counters["batched_cells"] == 3
-            assert counters["batches"] < 3, "the window should coalesce"
+            obs = broker.obs
+            assert obs.counter_value("broker.batched_cells") == 3
+            assert obs.counter_value("broker.batches") < 3, (
+                "the window should coalesce"
+            )
 
     def test_zero_window_still_answers(self):
         guards = ServiceGuards(batch_window_s=0.0)
@@ -133,7 +155,7 @@ class TestTimeouts:
             submission.future.result(timeout=60)
             # …so the retry is a pure cache hit.
             assert broker.submit(query).path == "hit"
-            assert broker.stats.snapshot()["timeouts"] == 1
+            assert broker.obs.counter_value("broker.timeouts") == 1
 
 
 class TestClose:

@@ -21,12 +21,12 @@ class TestMemoryTier:
         payload, tier = cache.get_with_tier(_key(1))
         assert payload == PAYLOAD
         assert tier == "memory"
-        assert cache.hits_memory == 1
+        assert cache.obs.counter_value("cache.hits_memory") == 1
 
     def test_miss(self):
         cache = ResultCache(memory_items=4)
         assert cache.get(_key(1)) is None
-        assert cache.misses == 1
+        assert cache.obs.counter_value("cache.misses") == 1
 
     def test_lru_evicts_least_recently_used(self):
         cache = ResultCache(memory_items=2)
@@ -37,7 +37,7 @@ class TestMemoryTier:
         assert cache.get(_key(2)) is None
         assert cache.get(_key(1)) == {"v": 1}
         assert cache.get(_key(3)) == {"v": 3}
-        assert cache.evictions == 1
+        assert cache.obs.counter_value("cache.mem_evictions") == 1
 
     def test_zero_capacity_memory_tier_is_passthrough(self):
         cache = ResultCache(memory_items=0)
@@ -128,11 +128,11 @@ def test_counters_snapshot():
     cache.put(_key(1), PAYLOAD)
     cache.get(_key(1))
     cache.get(_key(9))
-    counters = cache.counters()
-    assert counters["cache_puts"] == 1
-    assert counters["cache_hits_memory"] == 1
-    assert counters["cache_misses"] == 1
-    assert counters["cache_memory_entries"] == 1
+    obs = cache.obs
+    assert obs.counter_value("cache.puts") == 1
+    assert obs.counter_value("cache.hits_memory") == 1
+    assert obs.counter_value("cache.misses") == 1
+    assert len(cache) == 1
 
 
 def test_memory_evictions_reach_obs_registry():
@@ -143,13 +143,14 @@ def test_memory_evictions_reach_obs_registry():
     assert registry.counter_value("cache.mem_evictions") == 0
     cache.put(_key(3), {"v": 3})
     assert registry.counter_value("cache.mem_evictions") == 1
-    assert cache.counters()["cache_evictions"] == 1
+    assert cache.obs is registry
 
 
-def test_no_registry_means_no_obs_traffic():
-    # The default sink is the DISABLED singleton: evictions still count
-    # locally but nothing escapes the cache object.
+def test_no_registry_means_a_private_registry():
+    # A cache built without a registry owns one: evictions still count,
+    # and nothing escapes the cache object.
     cache = ResultCache(memory_items=1)
     cache.put(_key(1), {"v": 1})
     cache.put(_key(2), {"v": 2})
-    assert cache.evictions == 1
+    assert cache.obs.counter_value("cache.mem_evictions") == 1
+    assert ResultCache().obs is not cache.obs

@@ -98,7 +98,9 @@ def test_disk_tier_round_trip_preserves_bit_identity(service, fixtures, tmp_path
     second = ScheduleService(cache_dir=tmp_path / "cache", jobs=1)
     try:
         reloaded = second.query(query, timeout=300)
-        assert second.cache.hits_disk == 1, "must come from the disk tier"
+        assert second.obs.counter_value("cache.hits_disk") == 1, (
+            "must come from the disk tier"
+        )
     finally:
         second.close()
 

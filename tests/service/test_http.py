@@ -236,15 +236,16 @@ def test_cached_answers_survive_overload():
 
 def test_metrics_snapshot_is_bench_metrics_v1(client):
     client.query(ENERGY)
+    client.query(ENERGY)  # answered: the repeat is a hit
     status, payload = client.metrics()
     assert status == 200
     assert payload["schema"] == "bench-metrics/v1"
     assert payload["benchmark"] == "service"
     metrics = {m["name"]: m["value"] for m in payload["tests"]["service"]["metrics"]}
-    assert metrics["requests"] >= 1
-    assert "cache_hits" in metrics
-    assert "hit_latency_p50_ms" in metrics
-    assert "cache_memory_entries" in metrics
+    assert metrics["broker.requests"] >= 1
+    assert "cache.hits_memory" in metrics
+    assert metrics["broker.latency_hit_count"] >= 1
+    assert "cache.memory_entries" in metrics
 
 
 class TestLoadGenerators:

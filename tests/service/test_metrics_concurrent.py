@@ -87,38 +87,52 @@ def test_no_request_failed_under_load(hammered):
     assert errors == []
 
 
+def _values(final):
+    return {m["name"]: m["value"] for m in final["tests"]["service"]["metrics"]}
+
+
 def test_final_snapshot_is_valid_bench_metrics(hammered):
     final, _ = hammered
     assert final["schema"] == "bench-metrics/v1"
     assert validate_bench_metrics(final) == []
-    assert {"service", "obs"} <= set(final["tests"])
+    # One sink, one entry: every metric name appears exactly once.
+    assert list(final["tests"]) == ["service"]
+    names = [m["name"] for m in final["tests"]["service"]["metrics"]]
+    assert len(names) == len(set(names))
+    # The cache tiers and the broker's in-flight paths partition the
+    # requests: each energy request is a memory hit, a disk hit, a
+    # dedupe hit or a dispatch, counted once in one registry.
+    values = _values(final)
+    assert (
+        values.get("cache.hits_memory", 0)
+        + values.get("cache.hits_disk", 0)
+        + values.get("broker.dedup_hits", 0)
+        + values["broker.dispatched"]
+        == WRITERS * REQUESTS_PER_WRITER
+    )
 
 
 def test_request_counter_is_exact(hammered):
     final, _ = hammered
-    service_metrics = {
-        m["name"]: m["value"] for m in final["tests"]["service"]["metrics"]
-    }
+    service_metrics = _values(final)
     total = WRITERS * REQUESTS_PER_WRITER
-    assert service_metrics["requests"] == total
+    assert service_metrics["broker.requests"] == total
     # Every energy request takes exactly one of the three admission
     # paths, so the counters partition the request count exactly.
     assert (
-        service_metrics["cache_hits"]
-        + service_metrics["dedup_hits"]
-        + service_metrics["dispatched"]
+        service_metrics["cache.hits_memory"]
+        + service_metrics["broker.dedup_hits"]
+        + service_metrics["broker.dispatched"]
         == total
     )
     # 5 distinct seeds on one (app, scheduler, duration) point: in-flight
     # dedupe guarantees each unique cell is computed exactly once.
-    assert service_metrics["dispatched"] == 5
+    assert service_metrics["broker.dispatched"] == 5
 
 
 def test_broker_spans_count_every_submission(hammered):
     final, _ = hammered
-    obs_metrics = {
-        m["name"]: m["value"] for m in final["tests"]["obs"]["metrics"]
-    }
+    obs_metrics = _values(final)
     total = WRITERS * REQUESTS_PER_WRITER
     # Every submit probes the cache exactly once, hit or miss.
     assert obs_metrics["broker.cache_lookup_count"] == total

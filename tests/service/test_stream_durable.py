@@ -636,7 +636,7 @@ class TestDurableHttp:
         assert payload["state"] == "done"
 
     def test_recovery_counter_is_exported(self, durable_run):
-        metrics = durable_run["metrics"]["tests"]["obs"]["metrics"]
+        metrics = durable_run["metrics"]["tests"]["service"]["metrics"]
         values = {row["name"]: row["value"] for row in metrics}
         assert values.get("stream.campaigns_recovered", 0) >= 1
 
