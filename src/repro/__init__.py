@@ -18,24 +18,7 @@ Quickstart
 True
 """
 
-from . import analysis, core, faults, power, schedulers, sim, tasks, workloads
-from .core.lpfps import LpfpsScheduler
-from .core.speed import heuristic_speed_ratio, optimal_speed_ratio
-from .errors import (
-    AnalysisError,
-    ConfigurationError,
-    DeadlineMissError,
-    InvalidTaskError,
-    InvalidTaskSetError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-)
-from .faults import FaultLayer, GuardConfig, make_injector
-from .power.processor import ProcessorSpec
-from .schedulers.fps import FpsScheduler
-from .sim.engine import Simulator, simulate
-from .tasks.task import Task, TaskSet
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -70,3 +53,28 @@ __all__ = [
     "workloads",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core.lpfps": ("LpfpsScheduler",),
+        ".core.speed": ("heuristic_speed_ratio", "optimal_speed_ratio"),
+        ".errors": (
+            "AnalysisError",
+            "ConfigurationError",
+            "DeadlineMissError",
+            "InvalidTaskError",
+            "InvalidTaskSetError",
+            "ReproError",
+            "SchedulingError",
+            "SimulationError",
+        ),
+        ".faults.guards": ("GuardConfig",),
+        ".faults.injector": ("make_injector",),
+        ".faults.layer": ("FaultLayer",),
+        ".power.processor": ("ProcessorSpec",),
+        ".schedulers.fps": ("FpsScheduler",),
+        ".sim.engine": ("Simulator", "simulate"),
+        ".tasks.task": ("Task", "TaskSet"),
+    },
+)

@@ -1,31 +1,6 @@
 """Fixed-priority schedulability analysis substrate."""
 
-from .breakdown import BreakdownResult, breakdown_utilization, slack_factor
-from .demand import (
-    demand_bound,
-    edf_feasible,
-    edf_testing_horizon,
-    minimum_edf_speed,
-    testing_points,
-)
-from .sensitivity import SensitivityResult, wcet_margins
-from .hyperperiod import (
-    first_idle_instant,
-    hyperperiod,
-    hyperperiod_jobs,
-    level_i_busy_period,
-    releases_within,
-)
-from .rta import RtaResult, analyze, is_schedulable, response_time, with_overhead
-from .utilization import (
-    harmonic_chains,
-    is_fully_harmonic,
-    liu_layland_bound,
-    passes_edf_bound,
-    passes_hyperbolic_bound,
-    passes_liu_layland,
-    total_utilization,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "analyze",
@@ -56,3 +31,41 @@ __all__ = [
     "wcet_margins",
     "SensitivityResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".breakdown": ("BreakdownResult", "breakdown_utilization", "slack_factor"),
+        ".demand": (
+            "demand_bound",
+            "edf_feasible",
+            "edf_testing_horizon",
+            "minimum_edf_speed",
+            "testing_points",
+        ),
+        ".hyperperiod": (
+            "first_idle_instant",
+            "hyperperiod",
+            "hyperperiod_jobs",
+            "level_i_busy_period",
+            "releases_within",
+        ),
+        ".rta": (
+            "RtaResult",
+            "analyze",
+            "is_schedulable",
+            "response_time",
+            "with_overhead",
+        ),
+        ".sensitivity": ("SensitivityResult", "wcet_margins"),
+        ".utilization": (
+            "harmonic_chains",
+            "is_fully_harmonic",
+            "liu_layland_bound",
+            "passes_edf_bound",
+            "passes_hyperbolic_bound",
+            "passes_liu_layland",
+            "total_utilization",
+        ),
+    },
+)

@@ -23,32 +23,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .experiments.ablations import (
-    run_frequency_grid_ablation,
-    run_mechanism_ablation,
-    run_policy_ablation,
-    run_rho_ablation,
-)
-from .experiments.extensions import (
-    run_oracle_gap,
-    run_overhead_tradeoff,
-    run_predictive_failure,
-)
-from .experiments.weakly_hard import run_weakly_hard
-from .experiments.figure1 import run_figure1
-from .experiments.figure7 import run_figure7
-from .experiments.figure8 import run_figure8, run_figure8_all
-from .experiments.runner import measurement_duration
-from .faults.campaign import DEFAULT_POLICIES, run_campaign
-from .faults.guards import MISS_POLICIES
-from .faults.injectors import available_injectors
-from .power.processor import ProcessorSpec
-from .experiments.table1_schedule import run_table1
-from .experiments.table2 import run_table2
-from .schedulers.registry import available_schedulers, make_scheduler
-from .sim.engine import simulate
-from .tasks.generation import GaussianModel
-from .workloads.registry import available_workloads, get_workload
+from .faults.guards import DEFAULT_POLICIES, MISS_POLICIES
+from .faults.injector import available_injectors
+from .schedulers.registry import available_schedulers
+from .workloads.registry import available_workloads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,18 +386,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
 
+    # Each command imports its implementation here, so a process start
+    # loads only the code the command runs.
     if args.command == "figure1":
+        from .experiments.figure1 import run_figure1
+
         print(run_figure1().render())
     elif args.command == "table1":
+        from .experiments.table1_schedule import run_table1
+
         result = run_table1()
         print(result.render())
         if not result.all_checks_pass:
             return 1
     elif args.command == "table2":
+        from .experiments.table2 import run_table2
+
         print(run_table2().render())
     elif args.command == "figure7":
+        from .experiments.figure7 import run_figure7
+
         print(run_figure7().render())
     elif args.command == "figure8":
+        from .experiments.figure8 import run_figure8, run_figure8_all
+
         if args.app == "all":
             for name, result in run_figure8_all(
                 seeds=args.seeds, jobs=args.jobs, checkpoint=args.checkpoint
@@ -434,6 +424,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ).render()
             )
     elif args.command == "ablation":
+        from .experiments.ablations import (
+            run_frequency_grid_ablation,
+            run_mechanism_ablation,
+            run_policy_ablation,
+            run_rho_ablation,
+        )
+
         runs = {
             "policy": lambda: run_policy_ablation(
                 application=args.app or "cnc", bcet_ratio=args.bcet_ratio
@@ -453,6 +450,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(runs[key]().render())
             print()
     elif args.command == "extensions":
+        from .experiments.extensions import (
+            run_oracle_gap,
+            run_overhead_tradeoff,
+            run_predictive_failure,
+        )
+        from .experiments.weakly_hard import run_weakly_hard
+
         runs = {
             "overhead": run_overhead_tradeoff,
             "oracle": run_oracle_gap,
@@ -464,6 +468,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(runs[key]().render())
             print()
     elif args.command == "faults":
+        from .faults.campaign import run_campaign
+        from .workloads.registry import get_workload
+
         taskset = (
             get_workload(args.workload).prioritized().with_bcet_ratio(args.bcet_ratio)
         )
@@ -479,7 +486,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(campaign.render())
     elif args.command == "validate":
+        from .experiments.runner import measurement_duration
+        from .power.processor import ProcessorSpec
+        from .schedulers.registry import make_scheduler
+        from .sim.audit import audit_energy
+        from .sim.engine import simulate
         from .sim.validate import validate_trace
+        from .tasks.generation import GaussianModel
+        from .workloads.registry import get_workload
 
         workload = get_workload(args.app)
         taskset = workload.prioritized().with_bcet_ratio(args.bcet_ratio)
@@ -514,8 +528,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  {violation}")
             return 1
         print("trace passes all kernel invariants")
-        from .sim.audit import audit_energy
-
         audit = audit_energy(
             result.trace, ProcessorSpec.arm8(), result.energy, tolerance=1e-4
         )
@@ -523,6 +535,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not audit.consistent:
             return 1
     elif args.command == "simulate":
+        from .experiments.runner import measurement_duration
+        from .schedulers.registry import make_scheduler
+        from .sim.engine import simulate
+        from .tasks.generation import GaussianModel
+        from .workloads.registry import get_workload
+
         workload = get_workload(args.app)
         taskset = workload.prioritized().with_bcet_ratio(args.bcet_ratio)
         duration = (

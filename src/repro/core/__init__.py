@@ -1,13 +1,6 @@
 """The paper's primary contribution: LPFPS and its speed-ratio math."""
 
-from .lpfps import LpfpsScheduler
-from .speed import (
-    heuristic_is_safe,
-    heuristic_speed_ratio,
-    optimal_speed_ratio,
-    slowdown_window,
-    work_balance_residual,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "LpfpsScheduler",
@@ -17,3 +10,17 @@ __all__ = [
     "work_balance_residual",
     "slowdown_window",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".lpfps": ("LpfpsScheduler",),
+        ".speed": (
+            "heuristic_is_safe",
+            "heuristic_speed_ratio",
+            "optimal_speed_ratio",
+            "slowdown_window",
+            "work_balance_residual",
+        ),
+    },
+)

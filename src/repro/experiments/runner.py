@@ -31,6 +31,7 @@ from ..errors import ConfigurationError, ExecutionError, error_kind
 from ..faults.layer import FaultLayer
 from ..obs.registry import current
 from ..power.processor import ProcessorSpec
+from ..schedulers.registry import import_policies, make_scheduler
 from ..sim.engine import simulate
 from ..sim.metrics import SimulationResult
 from ..tasks.generation import ExecutionTimeModel, GaussianModel
@@ -90,9 +91,6 @@ class RunSpec:
     def build_scheduler(self) -> Any:
         """Instantiate this cell's scheduler."""
         if isinstance(self.scheduler, str):
-            # Imported lazily: the registry pulls in every policy module.
-            from ..schedulers.registry import make_scheduler
-
             return make_scheduler(self.scheduler)
         return self.scheduler()
 
@@ -338,6 +336,11 @@ def _take_pool(width: int) -> Tuple[int, ProcessPoolExecutor]:
             process.kill()
             process.join()
         stale[1].shutdown(wait=True, cancel_futures=True)
+    # Workers are forked from a threaded parent, and a module another
+    # thread is importing at that instant stays locked in every child
+    # for good.  Importing every policy first means a worker, warm for
+    # many campaigns, never imports one.
+    import_policies()
     return width, ProcessPoolExecutor(max_workers=width, initializer=_watch_parent)
 
 

@@ -12,27 +12,7 @@ The bridge to the engine is :class:`~repro.faults.layer.FaultLayer`,
 passed as ``simulate(..., faults=layer)``.
 """
 
-from .chaos import (
-    apply_cell_chaos,
-    flaky_transport,
-    kill_worker,
-    slow_cell,
-    tear_file,
-    with_chaos,
-)
-from .guards import MISS_POLICIES, GuardActivation, GuardConfig
-from .injector import FaultEvent, Injector
-from .injectors import (
-    OverheadSpikeInjector,
-    ReleaseJitterInjector,
-    ScriptedOverrun,
-    SpeedTransitionFaultInjector,
-    WakeTimerErrorInjector,
-    WcetOverrunInjector,
-    available_injectors,
-    make_injector,
-)
-from .layer import FaultLayer
+from .._lazy import lazy_exports
 
 __all__ = [
     "FaultEvent",
@@ -60,14 +40,33 @@ __all__ = [
     "with_chaos",
 ]
 
-_CAMPAIGN_EXPORTS = ("CampaignResult", "PolicyOutcome", "run_campaign")
-
-
-def __getattr__(name):
-    # Lazy: campaign pulls in the scheduler registry, which must not load
-    # while the engine (which imports this package) is itself mid-import.
-    if name in _CAMPAIGN_EXPORTS:
-        from . import campaign
-
-        return getattr(campaign, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".campaign": ("CampaignResult", "PolicyOutcome", "run_campaign"),
+        ".chaos": (
+            "apply_cell_chaos",
+            "flaky_transport",
+            "kill_worker",
+            "slow_cell",
+            "tear_file",
+            "with_chaos",
+        ),
+        ".guards": ("MISS_POLICIES", "GuardActivation", "GuardConfig"),
+        ".injector": (
+            "FaultEvent",
+            "Injector",
+            "available_injectors",
+            "make_injector",
+        ),
+        ".injectors": (
+            "OverheadSpikeInjector",
+            "ReleaseJitterInjector",
+            "ScriptedOverrun",
+            "SpeedTransitionFaultInjector",
+            "WakeTimerErrorInjector",
+            "WcetOverrunInjector",
+        ),
+        ".layer": ("FaultLayer",),
+    },
+)

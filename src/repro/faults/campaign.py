@@ -21,13 +21,11 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
-from .guards import GuardConfig
-from .injectors import make_injector
+from ..experiments.runner import RunSpec, run_many
+from ..tasks.generation import GaussianModel
+from .guards import DEFAULT_POLICIES, GuardConfig
+from .injector import make_injector
 from .layer import FaultLayer
-
-#: Default policy line-up: the paper's baseline and headline policies plus
-#: the two strongest cross-paper rivals that survive faults differently.
-DEFAULT_POLICIES = ("fps", "static-fps", "ccedf", "lpfps")
 
 
 @dataclass(frozen=True)
@@ -161,11 +159,6 @@ def run_campaign(
         persisted as they finish and restored instead of recomputed on
         the next run with the same arguments.
     """
-    # Imported lazily: the engine imports ``repro.faults`` at module level,
-    # so importing these back here at module level would be circular.
-    from ..experiments.runner import RunSpec, run_many
-    from ..tasks.generation import GaussianModel
-
     if intensity < 0:
         raise ConfigurationError(f"intensity must be >= 0, got {intensity}")
     if not seeds:

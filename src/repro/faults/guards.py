@@ -40,6 +40,12 @@ from ..errors import ConfigurationError
 #: Legal deadline-miss containment policies.
 MISS_POLICIES = ("run-to-completion", "abort")
 
+#: A fault campaign's default policy line-up: the paper's baseline and
+#: headline policies plus the two strongest cross-paper rivals that
+#: survive faults differently (registry names, so listing them imports
+#: no policy).
+DEFAULT_POLICIES = ("fps", "static-fps", "ccedf", "lpfps")
+
 
 @dataclass(frozen=True)
 class GuardConfig:

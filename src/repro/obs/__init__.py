@@ -22,16 +22,7 @@ the committed ``benchmarks/out/*.json`` baselines the CI perf gate
 compares against.
 """
 
-from .instruments import DEFAULT_EDGES, Counter, Gauge, Histogram, SpanStat
-from .registry import (
-    DEFAULT_SAMPLE,
-    DISABLED,
-    Registry,
-    current,
-    install,
-    installed,
-)
-from .schema import BENCH_SCHEMA, bench_metrics_payload, validate_bench_metrics
+from .._lazy import lazy_exports
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -49,3 +40,19 @@ __all__ = [
     "installed",
     "validate_bench_metrics",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".instruments": ("DEFAULT_EDGES", "Counter", "Gauge", "Histogram", "SpanStat"),
+        ".registry": (
+            "DEFAULT_SAMPLE",
+            "DISABLED",
+            "Registry",
+            "current",
+            "install",
+            "installed",
+        ),
+        ".schema": ("BENCH_SCHEMA", "bench_metrics_payload", "validate_bench_metrics"),
+    },
+)

@@ -1,10 +1,6 @@
 """Variable-voltage processor, power, and DVS-transition models."""
 
-from .frequency import FrequencyGrid
-from .model import PowerModel
-from .processor import ProcessorSpec
-from .transitions import INSTANT, TransitionModel
-from .voltage import AlphaPowerLawVoltage, FixedVoltage, LinearVoltage
+from .._lazy import lazy_exports
 
 __all__ = [
     "FrequencyGrid",
@@ -16,3 +12,14 @@ __all__ = [
     "LinearVoltage",
     "FixedVoltage",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".frequency": ("FrequencyGrid",),
+        ".model": ("PowerModel",),
+        ".processor": ("ProcessorSpec",),
+        ".transitions": ("INSTANT", "TransitionModel"),
+        ".voltage": ("AlphaPowerLawVoltage", "FixedVoltage", "LinearVoltage"),
+    },
+)

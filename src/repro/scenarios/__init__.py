@@ -8,16 +8,7 @@ live under ``packs/`` and are loadable by name from the CLI
 (``lpfps scenario ...``), experiments, and the service.
 """
 
-from .registry import PACKS_DIR, available_packs, load_pack, pack_path
-from .runner import CellOutcome, ScenarioReport, run_scenario, scenario_specs
-from .schema import (
-    SCHEMA_ID,
-    Scenario,
-    ScenarioCampaign,
-    ScenarioFaults,
-    load_scenario,
-    parse_scenario,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "PACKS_DIR",
@@ -35,3 +26,19 @@ __all__ = [
     "run_scenario",
     "scenario_specs",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".registry": ("PACKS_DIR", "available_packs", "load_pack", "pack_path"),
+        ".runner": ("CellOutcome", "ScenarioReport", "run_scenario", "scenario_specs"),
+        ".schema": (
+            "SCHEMA_ID",
+            "Scenario",
+            "ScenarioCampaign",
+            "ScenarioFaults",
+            "load_scenario",
+            "parse_scenario",
+        ),
+    },
+)

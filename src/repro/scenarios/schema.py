@@ -43,9 +43,10 @@ from ..analysis.weakly_hard import (
 from ..errors import ConfigurationError
 from ..experiments.checkpoint import canonical_tasks
 from ..faults.guards import MISS_POLICIES, GuardConfig
-from ..faults.injectors import available_injectors, make_injector
+from ..faults.injector import available_injectors, make_injector
 from ..faults.layer import FaultLayer
 from ..power.processor import ProcessorSpec
+from ..schedulers.registry import available_schedulers
 from ..service.fingerprint import FINGERPRINT_VERSION, taskset_fingerprint
 from ..tasks.generation import (
     BcetModel,
@@ -434,9 +435,6 @@ def _parse_faults(obj: Any, path: str) -> ScenarioFaults:
 def _parse_campaign(
     obj: Any, path: str, scale: float, taskset: TaskSet
 ) -> ScenarioCampaign:
-    # Imported lazily: the registry pulls in every scheduler module.
-    from ..schedulers.registry import available_schedulers
-
     _check_keys(obj, path, _CAMPAIGN_KEYS)
     schedulers = obj.get("schedulers", ["fps"])
     if not isinstance(schedulers, list) or not schedulers:

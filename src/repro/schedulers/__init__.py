@@ -1,19 +1,6 @@
 """Scheduling policies: the LPFPS contribution and its baselines."""
 
-from ..core.lpfps import LpfpsScheduler
-from .base import (
-    Scheduler,
-    earliest_deadline_dispatch,
-    fixed_priority_dispatch,
-)
-from .cycle_conserving import CcEdfScheduler
-from .edf import AvrScheduler, EdfScheduler
-from .fps import FpsScheduler
-from .interval import PastScheduler
-from .powerdown import ThresholdPowerDownFps, TimerPowerDownFps
-from .registry import available_schedulers, make_scheduler
-from .static_dvs import StaticDvsFps
-from .yds import YdsOracleScheduler
+from .._lazy import lazy_exports
 
 __all__ = [
     "Scheduler",
@@ -32,3 +19,19 @@ __all__ = [
     "make_scheduler",
     "available_schedulers",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "..core.lpfps": ("LpfpsScheduler",),
+        ".base": ("Scheduler", "earliest_deadline_dispatch", "fixed_priority_dispatch"),
+        ".cycle_conserving": ("CcEdfScheduler",),
+        ".edf": ("AvrScheduler", "EdfScheduler"),
+        ".fps": ("FpsScheduler",),
+        ".interval": ("PastScheduler",),
+        ".powerdown": ("ThresholdPowerDownFps", "TimerPowerDownFps"),
+        ".registry": ("available_schedulers", "make_scheduler"),
+        ".static_dvs": ("StaticDvsFps",),
+        ".yds": ("YdsOracleScheduler",),
+    },
+)

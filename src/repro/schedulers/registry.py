@@ -2,36 +2,33 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
-from ..core.lpfps import LpfpsScheduler
 from ..errors import ConfigurationError
-from .base import Scheduler
-from .cycle_conserving import CcEdfScheduler
-from .edf import AvrScheduler, EdfScheduler
-from .fps import FpsScheduler
-from .interval import PastScheduler
-from .jcl import JclScheduler
-from .powerdown import ThresholdPowerDownFps, TimerPowerDownFps
-from .static_dvs import StaticDvsFps
-from .yds import YdsOracleScheduler
 
-_FACTORIES: Dict[str, Callable[[], Scheduler]] = {
-    "fps": FpsScheduler,
-    "lpfps": LpfpsScheduler,
-    "lpfps-opt": lambda: LpfpsScheduler(speed_policy="optimal"),
-    "lpfps-nodvs": lambda: LpfpsScheduler(use_dvs=False),
-    "lpfps-nopd": lambda: LpfpsScheduler(use_powerdown=False),
-    "lpfps-dual": lambda: LpfpsScheduler(dual_level=True),
-    "fps-pd": TimerPowerDownFps,
-    "fps-pd-threshold": ThresholdPowerDownFps,
-    "edf": EdfScheduler,
-    "avr": AvrScheduler,
-    "static-fps": StaticDvsFps,
-    "yds": YdsOracleScheduler,
-    "ccedf": CcEdfScheduler,
-    "past": PastScheduler,
-    "jcl": JclScheduler,
+if TYPE_CHECKING:
+    from .base import Scheduler
+
+#: Registry name -> (defining module, class, constructor kwargs).  Names
+#: only: listing them (CLI ``choices``, query validation) imports no
+#: policy; :func:`make_scheduler` imports the one it builds.
+_FACTORIES: Dict[str, Tuple[str, str, Dict[str, Any]]] = {
+    "fps": (".fps", "FpsScheduler", {}),
+    "lpfps": ("..core.lpfps", "LpfpsScheduler", {}),
+    "lpfps-opt": ("..core.lpfps", "LpfpsScheduler", {"speed_policy": "optimal"}),
+    "lpfps-nodvs": ("..core.lpfps", "LpfpsScheduler", {"use_dvs": False}),
+    "lpfps-nopd": ("..core.lpfps", "LpfpsScheduler", {"use_powerdown": False}),
+    "lpfps-dual": ("..core.lpfps", "LpfpsScheduler", {"dual_level": True}),
+    "fps-pd": (".powerdown", "TimerPowerDownFps", {}),
+    "fps-pd-threshold": (".powerdown", "ThresholdPowerDownFps", {}),
+    "edf": (".edf", "EdfScheduler", {}),
+    "avr": (".edf", "AvrScheduler", {}),
+    "static-fps": (".static_dvs", "StaticDvsFps", {}),
+    "yds": (".yds", "YdsOracleScheduler", {}),
+    "ccedf": (".cycle_conserving", "CcEdfScheduler", {}),
+    "past": (".interval", "PastScheduler", {}),
+    "jcl": (".jcl", "JclScheduler", {}),
 }
 
 #: Registry names whose policy accepts per-task weakly-hard (m,k)
@@ -51,13 +48,19 @@ def available_schedulers() -> List[str]:
 def make_scheduler(name: str) -> Scheduler:
     """Instantiate a scheduler by registry name."""
     try:
-        factory = _FACTORIES[name.lower()]
+        module, cls, kwargs = _FACTORIES[name.lower()]
     except KeyError:
         raise ConfigurationError(
             f"unknown scheduler {name!r}; "
             f"available: {', '.join(available_schedulers())}"
         ) from None
-    return factory()
+    return getattr(import_module(module, __package__), cls)(**kwargs)
+
+
+def import_policies() -> None:
+    """Import the module of every registered policy."""
+    for module, _, _ in _FACTORIES.values():
+        import_module(module, __package__)
 
 
 def scheduler_capabilities() -> List[Dict[str, Any]]:
@@ -70,7 +73,7 @@ def scheduler_capabilities() -> List[Dict[str, Any]]:
     """
     entries: List[Dict[str, Any]] = []
     for key in available_schedulers():
-        scheduler = _FACTORIES[key]()
+        scheduler = make_scheduler(key)
         entries.append(
             {
                 "name": key,

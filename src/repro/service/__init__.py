@@ -40,15 +40,7 @@ digest machinery (`tests/service/test_golden_equivalence.py`).
 
 from __future__ import annotations
 
-from .broker import AdmissionError, Broker, RequestTimeout, ServiceGuards
-from .cache import ResultCache
-from .fingerprint import canonical_payload, fingerprint
-from .fleet import FleetClient
-from .query import Query, QueryError, parse_query
-from .results import encode_result, execute_analytic
-from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy
-from .server import ScheduleService, serve_forever
-from .supervisor import FleetError, FleetSupervisor, RestartBudget
+from .._lazy import lazy_exports
 
 __all__ = [
     "AdmissionError",
@@ -69,3 +61,18 @@ __all__ = [
     "parse_query",
     "serve_forever",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".broker": ("AdmissionError", "Broker", "RequestTimeout", "ServiceGuards"),
+        ".cache": ("ResultCache",),
+        ".fingerprint": ("canonical_payload", "fingerprint"),
+        ".fleet": ("FleetClient",),
+        ".query": ("Query", "QueryError", "parse_query"),
+        ".results": ("encode_result", "execute_analytic"),
+        ".retry": ("CircuitBreaker", "CircuitOpenError", "RetryPolicy"),
+        ".server": ("ScheduleService", "serve_forever"),
+        ".supervisor": ("FleetError", "FleetSupervisor", "RestartBudget"),
+    },
+)

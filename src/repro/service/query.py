@@ -25,8 +25,9 @@ exactly what will run:
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..errors import ConfigurationError, ServiceError
 from ..tasks.generation import ExecutionTimeModel, GaussianModel, WcetModel

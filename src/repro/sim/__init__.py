@@ -6,28 +6,7 @@ owns the event loop and job lifecycle; :mod:`~repro.sim.power_accounting`,
 :mod:`~repro.sim.recording` are its explicit components.
 """
 
-from .engine import Simulator, simulate
-from .events import KEEP, NO_CHANGE, Decision, SchedEvent, SleepRequest
-from .metrics import (
-    DeadlineMiss,
-    EnergyBreakdown,
-    SimulationResult,
-    TaskStats,
-)
-from .power_accounting import PowerAccountant
-from .profile import Ramp, constant_time_to_complete, constant_work
-from .queues import DelayQueue, RunQueue, deadline_key, priority_key
-from .recording import (
-    NULL_RECORDER,
-    NullRecorder,
-    Recorder,
-    TraceBackedRecorder,
-)
-from .sleep_control import SleepController
-from .speed_control import SpeedController
-from .trace import PointEvent, Segment, TraceRecorder
-from .audit import AuditResult, audit_energy, recompute_energy
-from .validate import Violation, assert_valid, validate_trace
+from .._lazy import lazy_exports
 
 __all__ = [
     "Simulator",
@@ -65,3 +44,31 @@ __all__ = [
     "recompute_energy",
     "AuditResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".audit": ("AuditResult", "audit_energy", "recompute_energy"),
+        ".engine": ("Simulator", "simulate"),
+        ".events": ("KEEP", "NO_CHANGE", "Decision", "SchedEvent", "SleepRequest"),
+        ".metrics": (
+            "DeadlineMiss",
+            "EnergyBreakdown",
+            "SimulationResult",
+            "TaskStats",
+        ),
+        ".power_accounting": ("PowerAccountant",),
+        ".profile": ("Ramp", "constant_time_to_complete", "constant_work"),
+        ".queues": ("DelayQueue", "RunQueue", "deadline_key", "priority_key"),
+        ".recording": (
+            "NULL_RECORDER",
+            "NullRecorder",
+            "Recorder",
+            "TraceBackedRecorder",
+        ),
+        ".sleep_control": ("SleepController",),
+        ".speed_control": ("SpeedController",),
+        ".trace": ("PointEvent", "Segment", "TraceRecorder"),
+        ".validate": ("Violation", "assert_valid", "validate_trace"),
+    },
+)

@@ -1,20 +1,6 @@
 """Periodic task model: tasks, jobs, priorities, and demand generators."""
 
-from .job import Job
-from .task import Task, TaskSet
-from . import generation, priority
-from .generation import (
-    BcetModel,
-    BimodalModel,
-    ExecutionTimeModel,
-    GaussianModel,
-    MarkovModel,
-    UniformModel,
-    WcetModel,
-    random_taskset,
-    uunifast,
-)
-from .priority import audsley, deadline_monotonic, explicit, rate_monotonic
+from .._lazy import lazy_exports
 
 __all__ = [
     "Task",
@@ -36,3 +22,23 @@ __all__ = [
     "generation",
     "priority",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".generation": (
+            "BcetModel",
+            "BimodalModel",
+            "ExecutionTimeModel",
+            "GaussianModel",
+            "MarkovModel",
+            "UniformModel",
+            "WcetModel",
+            "random_taskset",
+            "uunifast",
+        ),
+        ".job": ("Job",),
+        ".priority": ("audsley", "deadline_monotonic", "explicit", "rate_monotonic"),
+        ".task": ("Task", "TaskSet"),
+    },
+)

@@ -13,9 +13,8 @@ This module implements the classic periodic task model used by the paper
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidTaskError, InvalidTaskSetError
@@ -108,11 +107,17 @@ class Task:
 
     def with_priority(self, priority: int) -> "Task":
         """Return a copy of this task with *priority* assigned."""
-        return dataclasses.replace(self, priority=priority)
+        return Task(
+            self.name, self.wcet, self.period, self.deadline, self.bcet,
+            self.phase, priority,
+        )
 
     def with_bcet(self, bcet: float) -> "Task":
         """Return a copy of this task with a new best-case execution time."""
-        return dataclasses.replace(self, bcet=bcet)
+        return Task(
+            self.name, self.wcet, self.period, self.deadline, bcet,
+            self.phase, self.priority,
+        )
 
     def with_bcet_ratio(self, ratio: float) -> "Task":
         """Return a copy whose BCET is ``ratio * wcet``.
@@ -123,7 +128,7 @@ class Task:
             raise InvalidTaskError(
                 f"{self.name}: bcet ratio must be in (0, 1], got {ratio}"
             )
-        return dataclasses.replace(self, bcet=ratio * self.wcet)
+        return self.with_bcet(ratio * self.wcet)
 
     def scaled(self, factor: float) -> "Task":
         """Return a copy with WCET and BCET scaled by *factor*.
@@ -132,8 +137,9 @@ class Task:
         """
         if factor <= 0:
             raise InvalidTaskError(f"scale factor must be > 0, got {factor}")
-        return dataclasses.replace(
-            self, wcet=self.wcet * factor, bcet=self.bcet * factor
+        return Task(
+            self.name, self.wcet * factor, self.period, self.deadline,
+            self.bcet * factor, self.phase, self.priority,
         )
 
     def release_time(self, index: int) -> float:

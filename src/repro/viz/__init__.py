@@ -1,9 +1,6 @@
 """Plain-text visualisation: tables, series plots, Gantt charts."""
 
-from .gantt import render_gantt
-from .series import render_bars, render_series
-from .speedplot import render_speed_profile
-from .tables import format_cell, render_table
+from .._lazy import lazy_exports
 
 __all__ = [
     "render_table",
@@ -13,3 +10,13 @@ __all__ = [
     "render_gantt",
     "render_speed_profile",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".gantt": ("render_gantt",),
+        ".series": ("render_bars", "render_series"),
+        ".speedplot": ("render_speed_profile",),
+        ".tables": ("format_cell", "render_table"),
+    },
+)

@@ -1,18 +1,6 @@
 """Application workloads: the paper's four case studies and examples."""
 
-from .avionics import avionics_taskset, avionics_workload
-from .base import Workload
-from .bcet_data import BCET_WCET_RATIOS, BcetRatio, mean_ratio, ratios_table
-from .cnc import cnc_taskset, cnc_workload
-from .example_dac99 import example_taskset, example_workload
-from .flight_control import flight_control_taskset, flight_control_workload
-from .ins import ins_taskset, ins_workload
-from .registry import (
-    TABLE2_NAMES,
-    available_workloads,
-    get_workload,
-    table2_workloads,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Workload",
@@ -35,3 +23,22 @@ __all__ = [
     "table2_workloads",
     "TABLE2_NAMES",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".avionics": ("avionics_taskset", "avionics_workload"),
+        ".base": ("Workload",),
+        ".bcet_data": ("BCET_WCET_RATIOS", "BcetRatio", "mean_ratio", "ratios_table"),
+        ".cnc": ("cnc_taskset", "cnc_workload"),
+        ".example_dac99": ("example_taskset", "example_workload"),
+        ".flight_control": ("flight_control_taskset", "flight_control_workload"),
+        ".ins": ("ins_taskset", "ins_workload"),
+        ".registry": (
+            "TABLE2_NAMES",
+            "available_workloads",
+            "get_workload",
+            "table2_workloads",
+        ),
+    },
+)

@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..errors import ConfigurationError
-from .avionics import avionics_workload
-from .base import Workload
-from .cnc import cnc_workload
-from .example_dac99 import example_workload
-from .flight_control import flight_control_workload
-from .ins import ins_workload
 
-_FACTORIES: Dict[str, Callable[[], Workload]] = {
-    "avionics": avionics_workload,
-    "ins": ins_workload,
-    "flight_control": flight_control_workload,
-    "cnc": cnc_workload,
-    "example": example_workload,
+if TYPE_CHECKING:
+    from .base import Workload
+
+#: Registry name -> (defining module, factory).  Names only: listing them
+#: (CLI ``choices``) imports no workload; :func:`get_workload` imports
+#: the one it builds.
+_FACTORIES: Dict[str, Tuple[str, str]] = {
+    "avionics": (".avionics", "avionics_workload"),
+    "ins": (".ins", "ins_workload"),
+    "flight_control": (".flight_control", "flight_control_workload"),
+    "cnc": (".cnc", "cnc_workload"),
+    "example": (".example_dac99", "example_workload"),
 }
 
 #: Alternate spellings accepted by :func:`get_workload` but kept out of
@@ -49,7 +50,8 @@ def canonical_workload_name(name: str) -> str:
 
 def get_workload(name: str) -> Workload:
     """Instantiate a workload by registry name or alias."""
-    return _FACTORIES[canonical_workload_name(name)]()
+    module, factory = _FACTORIES[canonical_workload_name(name)]
+    return getattr(import_module(module, __package__), factory)()
 
 
 def table2_workloads() -> List[Workload]:
