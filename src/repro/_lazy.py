@@ -4,10 +4,10 @@ Every package ``__init__`` in :mod:`repro` re-exports through
 :func:`lazy_exports` and imports no submodule itself, so a process
 start loads only the modules its command runs: ``import
 repro.service.server`` does not pay for the ablation studies, and
-``import repro`` costs one file.  ``repro.sim.simulate`` (or ``from
-repro.sim import simulate``) imports :mod:`repro.sim.engine` on first
-access and caches the value in the package namespace; later accesses
-are plain attribute reads.  Submodules resolve the same way, so
+``import repro`` loads no submodule but this one.
+``repro.sim.simulate`` (or ``from repro.sim import simulate``)
+imports :mod:`repro.sim.engine` on first access and caches the value
+in the package namespace; later accesses are plain attribute reads.  Submodules resolve the same way, so
 ``repro.experiments.runner`` works after a bare ``import
 repro.experiments``.
 

@@ -44,7 +44,7 @@ def _submodules(package: str):
 
 
 def test_every_package_is_covered():
-    assert len(PACKAGES) == 14
+    assert len(PACKAGES) >= 14
     assert "repro.service" in PACKAGES and "repro.scenarios" in PACKAGES
 
 
