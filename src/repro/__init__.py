@@ -70,7 +70,7 @@ __getattr__, __dir__ = lazy_exports(
             "SimulationError",
         ),
         ".faults.guards": ("GuardConfig",),
-        ".faults.injector": ("make_injector",),
+        ".faults.injectors": ("make_injector",),
         ".faults.layer": ("FaultLayer",),
         ".power.processor": ("ProcessorSpec",),
         ".schedulers.fps": ("FpsScheduler",),

@@ -24,7 +24,7 @@ import sys
 from typing import List, Optional
 
 from .faults.guards import DEFAULT_POLICIES, MISS_POLICIES
-from .faults.injector import available_injectors
+from .faults.injectors import available_injectors
 from .schedulers.registry import available_schedulers
 from .workloads.registry import available_workloads
 

@@ -23,6 +23,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 from time import perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -31,7 +32,7 @@ from ..errors import ConfigurationError, ExecutionError, error_kind
 from ..faults.layer import FaultLayer
 from ..obs.registry import current
 from ..power.processor import ProcessorSpec
-from ..schedulers.registry import import_policies, make_scheduler
+from ..schedulers.registry import make_scheduler, policy_modules
 from ..sim.engine import simulate
 from ..sim.metrics import SimulationResult
 from ..tasks.generation import ExecutionTimeModel, GaussianModel
@@ -311,6 +312,25 @@ def _pool_alive(pool: ProcessPoolExecutor) -> bool:
     return alive and not pool._broken
 
 
+#: Modules a pool worker would otherwise import after its fork, besides
+#: the policies: the code a scenario or fault cell unpickles or builds
+#: (its factories, schema and injectors) and the chaos plan applier.
+_WORKER_MODULES = ("..faults.chaos", "..faults.injectors", "..scenarios.runner")
+
+
+def _import_worker_modules() -> None:
+    """Import every module a pool worker can need, before forking it.
+
+    Workers are forked from a threaded parent (a server imports scenario,
+    fault and policy code on request threads), and a module another
+    thread is importing at the fork stays locked in every child for good.
+    Importing these first waits out any import in flight, so a worker,
+    warm for many campaigns, never imports repro code itself.
+    """
+    for name in (*policy_modules(), *_WORKER_MODULES):
+        import_module(name, __package__)
+
+
 def _take_pool(width: int) -> Tuple[int, ProcessPoolExecutor]:
     """``(pool width, pool)`` with at least *width* workers: the idle warm
     pool if it is wide enough and intact, else a new one.
@@ -336,11 +356,7 @@ def _take_pool(width: int) -> Tuple[int, ProcessPoolExecutor]:
             process.kill()
             process.join()
         stale[1].shutdown(wait=True, cancel_futures=True)
-    # Workers are forked from a threaded parent, and a module another
-    # thread is importing at that instant stays locked in every child
-    # for good.  Importing every policy first means a worker, warm for
-    # many campaigns, never imports one.
-    import_policies()
+    _import_worker_modules()
     return width, ProcessPoolExecutor(max_workers=width, initializer=_watch_parent)
 
 

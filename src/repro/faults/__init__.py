@@ -53,12 +53,7 @@ __getattr__, __dir__ = lazy_exports(
             "with_chaos",
         ),
         ".guards": ("MISS_POLICIES", "GuardActivation", "GuardConfig"),
-        ".injector": (
-            "FaultEvent",
-            "Injector",
-            "available_injectors",
-            "make_injector",
-        ),
+        ".injector": ("FaultEvent", "Injector"),
         ".injectors": (
             "OverheadSpikeInjector",
             "ReleaseJitterInjector",
@@ -66,6 +61,8 @@ __getattr__, __dir__ = lazy_exports(
             "SpeedTransitionFaultInjector",
             "WakeTimerErrorInjector",
             "WcetOverrunInjector",
+            "available_injectors",
+            "make_injector",
         ),
         ".layer": ("FaultLayer",),
     },

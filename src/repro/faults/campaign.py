@@ -24,7 +24,7 @@ from ..errors import ConfigurationError
 from ..experiments.runner import RunSpec, run_many
 from ..tasks.generation import GaussianModel
 from .guards import DEFAULT_POLICIES, GuardConfig
-from .injector import make_injector
+from .injectors import make_injector
 from .layer import FaultLayer
 
 

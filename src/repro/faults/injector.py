@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
 from ..tasks.task import Task
@@ -107,33 +107,3 @@ class Injector:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(intensity={self.intensity})"
-
-
-#: Registry name -> class in :mod:`repro.faults.injectors`.  Names only,
-#: so listing them (the CLI's ``choices``) imports no injector.
-_INJECTORS: Dict[str, str] = {
-    "wcet-overrun": "WcetOverrunInjector",
-    "release-jitter": "ReleaseJitterInjector",
-    "wake-timer": "WakeTimerErrorInjector",
-    "speed-fault": "SpeedTransitionFaultInjector",
-    "overhead-spike": "OverheadSpikeInjector",
-}
-
-
-def available_injectors() -> List[str]:
-    """Registered injector names, sorted."""
-    return sorted(_INJECTORS)
-
-
-def make_injector(name: str, intensity: float) -> Injector:
-    """Instantiate an injector by registry name."""
-    try:
-        class_name = _INJECTORS[name.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown injector {name!r}; available: "
-            f"{', '.join(available_injectors())}"
-        ) from None
-    from . import injectors
-
-    return getattr(injectors, class_name)(intensity)

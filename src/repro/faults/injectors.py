@@ -24,11 +24,11 @@ named job.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import ConfigurationError
 from ..tasks.task import Task
-from .injector import Injector, available_injectors, make_injector  # noqa: F401
+from .injector import Injector
 
 
 class WcetOverrunInjector(Injector):
@@ -180,3 +180,30 @@ class ScriptedOverrun(Injector):
         if factor is None:
             return demand
         return task.wcet * (1.0 + factor)
+
+
+#: Name -> factory for the CLI and campaign runner.
+_INJECTORS: Dict[str, Callable[[float], Injector]] = {
+    WcetOverrunInjector.name: WcetOverrunInjector,
+    ReleaseJitterInjector.name: ReleaseJitterInjector,
+    WakeTimerErrorInjector.name: WakeTimerErrorInjector,
+    SpeedTransitionFaultInjector.name: SpeedTransitionFaultInjector,
+    OverheadSpikeInjector.name: OverheadSpikeInjector,
+}
+
+
+def available_injectors() -> List[str]:
+    """Registered injector names, sorted."""
+    return sorted(_INJECTORS)
+
+
+def make_injector(name: str, intensity: float) -> Injector:
+    """Instantiate an injector by registry name."""
+    try:
+        factory = _INJECTORS[name.lower()]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown injector {name!r}; available: "
+            f"{', '.join(available_injectors())}"
+        ) from None
+    return factory(intensity)

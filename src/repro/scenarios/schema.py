@@ -43,7 +43,7 @@ from ..analysis.weakly_hard import (
 from ..errors import ConfigurationError
 from ..experiments.checkpoint import canonical_tasks
 from ..faults.guards import MISS_POLICIES, GuardConfig
-from ..faults.injector import available_injectors, make_injector
+from ..faults.injectors import available_injectors, make_injector
 from ..faults.layer import FaultLayer
 from ..power.processor import ProcessorSpec
 from ..schedulers.registry import available_schedulers

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from importlib import import_module
+from importlib.util import resolve_name
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..errors import ConfigurationError
@@ -57,10 +58,11 @@ def make_scheduler(name: str) -> Scheduler:
     return getattr(import_module(module, __package__), cls)(**kwargs)
 
 
-def import_policies() -> None:
-    """Import the module of every registered policy."""
-    for module, _, _ in _FACTORIES.values():
-        import_module(module, __package__)
+def policy_modules() -> List[str]:
+    """Absolute names of the modules defining the registered policies."""
+    return sorted(
+        {resolve_name(module, __package__) for module, _, _ in _FACTORIES.values()}
+    )
 
 
 def scheduler_capabilities() -> List[Dict[str, Any]]:

@@ -53,13 +53,6 @@ class TestZeroIntensity:
         assert not layer.injects
 
 
-@pytest.mark.parametrize("name", available_injectors())
-def test_registry_name_is_the_injector_name(name):
-    # The registry lists names without importing the injector classes,
-    # so nothing else ties a name to the class it builds.
-    assert make_injector(name, 0.5).name == name
-
-
 class TestWcetOverrun:
     def test_full_intensity_always_overruns(self):
         injector = WcetOverrunInjector(1.0)
