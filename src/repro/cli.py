@@ -782,6 +782,7 @@ def _run_cache_verify(args) -> int:
         document.get("corrupt", 0)
         + document.get("manifests_corrupt", 0)
         + document.get("events_corrupt", 0)
+        + document.get("logs_unreadable", 0)
         for document in documents
     )
     if corrupt and not args.repair:
@@ -797,7 +798,8 @@ def _render_campaign_scrub(report) -> str:
         f"  manifests: {report.get('manifests', 0)} "
         f"({report.get('manifests_corrupt', 0)} corrupt)",
         f"  event logs: {report.get('event_logs', 0)} "
-        f"({report.get('logs_truncated', 0)} truncated)",
+        f"({report.get('logs_truncated', 0)} truncated, "
+        f"{report.get('logs_unreadable', 0)} unreadable)",
         f"  events: {report.get('events', 0)} "
         f"({report.get('events_corrupt', 0)} corrupt)",
     ]

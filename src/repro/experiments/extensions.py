@@ -22,18 +22,20 @@ energy bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.lpfps import LpfpsScheduler
 from ..power.processor import ProcessorSpec
 from ..schedulers.fps import FpsScheduler
 from ..schedulers.interval import PastScheduler
-from ..schedulers.yds import YdsOracleScheduler, profile_for_taskset
+from ..schedulers.yds import profile_for_taskset
 from ..sim.engine import simulate
 from ..tasks.generation import BimodalModel, GaussianModel
 from ..viz.tables import render_table
 from ..workloads.registry import get_workload
-from .runner import measurement_duration, seed_mean
+from .runner import (
+    RunSpec, compare_schedulers, measurement_duration, run_many, seed_mean,
+)
 
 
 # ------------------------------------------------------------------ #
@@ -119,33 +121,29 @@ def run_overhead_tradeoff(
     """
     taskset = get_workload(application).prioritized().with_bcet_ratio(bcet_ratio)
     duration = measurement_duration(taskset)
+    costs = {"lpfps": 0.0, "lpfps-opt": optimal_extra_cost}
+    specs = [
+        RunSpec(
+            taskset=taskset, scheduler=policy, seed=seed,
+            execution_model=GaussianModel(), duration=duration, on_miss="record",
+            scheduler_overhead=overhead + extra,
+        )
+        for overhead in overheads
+        for policy, extra in costs.items()
+        for seed in seeds
+    ]
+    results = iter(run_many(specs))
     points: List[OverheadPoint] = []
     for overhead in overheads:
-        powers = {"heu": [], "opt": []}
-        misses = {"heu": 0, "opt": 0}
-        for seed in seeds:
-            heu = simulate(
-                taskset, LpfpsScheduler(), execution_model=GaussianModel(),
-                duration=duration, seed=seed, on_miss="record",
-                scheduler_overhead=overhead,
-            )
-            opt = simulate(
-                taskset, LpfpsScheduler(speed_policy="optimal"),
-                execution_model=GaussianModel(), duration=duration, seed=seed,
-                on_miss="record",
-                scheduler_overhead=overhead + optimal_extra_cost,
-            )
-            powers["heu"].append(heu.average_power)
-            powers["opt"].append(opt.average_power)
-            misses["heu"] += len(heu.deadline_misses)
-            misses["opt"] += len(opt.deadline_misses)
+        heu = [next(results) for _ in seeds]
+        opt = [next(results) for _ in seeds]
         points.append(
             OverheadPoint(
                 overhead=overhead,
-                heuristic_power=seed_mean(powers["heu"]),
-                optimal_power=seed_mean(powers["opt"]),
-                heuristic_misses=misses["heu"],
-                optimal_misses=misses["opt"],
+                heuristic_power=seed_mean([r.average_power for r in heu]),
+                optimal_power=seed_mean([r.average_power for r in opt]),
+                heuristic_misses=sum(len(r.deadline_misses) for r in heu),
+                optimal_misses=sum(len(r.deadline_misses) for r in opt),
             )
         )
     return OverheadTradeoffResult(
@@ -203,27 +201,12 @@ def run_oracle_gap(
     duration = measurement_duration(base)
     rows = []
     for ratio in ratios:
-        taskset = base.with_bcet_ratio(ratio)
-        powers = {"fps": [], "lpfps": [], "yds": []}
-        for seed in seeds:
-            kwargs = dict(execution_model=GaussianModel(), duration=duration,
-                          seed=seed, on_miss="record", spec=spec)
-            powers["fps"].append(
-                simulate(taskset, FpsScheduler(), **kwargs).average_power
-            )
-            powers["lpfps"].append(
-                simulate(taskset, LpfpsScheduler(), **kwargs).average_power
-            )
-            powers["yds"].append(
-                simulate(taskset, YdsOracleScheduler(), **kwargs).average_power
-            )
+        points = compare_schedulers(
+            base.with_bcet_ratio(ratio), {"FPS": "fps", "LPFPS": "lpfps", "YDS": "yds"},
+            spec=spec, execution_model=GaussianModel(), seeds=seeds, duration=duration,
+        )
         rows.append(
-            (
-                ratio,
-                seed_mean(powers["fps"]),
-                seed_mean(powers["lpfps"]),
-                seed_mean(powers["yds"]),
-            )
+            (ratio, *(points[name].average_power for name in ("FPS", "LPFPS", "YDS")))
         )
     return OracleGapResult(
         application=application,

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
-from ..experiments.runner import RunSpec, run_many
+from ..experiments.runner import RunSpec, run_many, seed_mean
 from ..tasks.generation import GaussianModel
 from .guards import DEFAULT_POLICIES, GuardConfig
 from .injectors import make_injector
@@ -113,7 +113,7 @@ def _aggregate(results) -> tuple:
     )
     guard_acts = sum(len(result.guard_activations) for result in results)
     faults = sum(len(result.fault_events) for result in results)
-    power = sum(result.average_power for result in results) / max(1, len(results))
+    power = seed_mean([result.average_power for result in results])
     return jobs, misses, aborts, guard_acts, faults, power
 
 
@@ -211,7 +211,7 @@ def run_campaign(
             jobs_released, misses, aborts, guard_acts, faults, power = _aggregate(
                 faulted_runs
             )
-            _, _, _, _, _, base_power = _aggregate(baseline_runs)
+            base_power = seed_mean([run.average_power for run in baseline_runs])
             result.outcomes.append(
                 PolicyOutcome(
                     policy=policy,

@@ -25,14 +25,17 @@ def available_packs() -> List[str]:
 
 
 def pack_path(name: str) -> Path:
-    """Filesystem path of the bundled pack *name*."""
-    path = PACKS_DIR / f"{name}.json"
-    if not path.is_file():
+    """Filesystem path of the bundled pack *name*.
+
+    Only a listed name resolves: a name is a request field, and one like
+    ``../../x`` must not reach other JSON files on the host.
+    """
+    if name not in available_packs():
         raise ConfigurationError(
             f"unknown scenario pack {name!r}; "
             f"available: {', '.join(available_packs())}"
         )
-    return path
+    return PACKS_DIR / f"{name}.json"
 
 
 def load_pack(name: str) -> Scenario:

@@ -40,6 +40,9 @@ from ..analysis.weakly_hard import (
     coerce_constraint,
     weakly_hard_demand,
 )
+from ..documents import (
+    boolean, check_keys, fail, integer, number, parse_task, string, time_scale,
+)
 from ..errors import ConfigurationError
 from ..experiments.checkpoint import canonical_tasks
 from ..faults.guards import MISS_POLICIES, GuardConfig
@@ -61,9 +64,6 @@ from ..tasks.task import Task, TaskSet
 #: The one document version this parser understands.
 SCHEMA_ID = "repro/scenario/v1"
 
-#: Multipliers taking document time values to the kernel's µs.
-TIME_UNITS: Dict[str, float] = {"us": 1.0, "ms": 1_000.0, "s": 1_000_000.0}
-
 PRIORITY_POLICIES = ("rate_monotonic", "explicit")
 
 _PROCESSORS = {"arm8": ProcessorSpec.arm8, "ideal": ProcessorSpec.ideal}
@@ -78,47 +78,6 @@ _EXECUTION_MODELS = {
 }
 
 _SLUG_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_-")
-
-
-def _fail(path: str, message: str) -> None:
-    raise ConfigurationError(f"{path}: {message}")
-
-
-def _check_keys(obj: Mapping[str, Any], path: str, allowed: Tuple[str, ...]) -> None:
-    if not isinstance(obj, Mapping):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        _fail(
-            f"{path}.{unknown[0]}" if path else unknown[0],
-            f"unknown key (allowed: {', '.join(sorted(allowed))})",
-        )
-
-
-def _string(obj: Mapping[str, Any], path: str, key: str, default: str = "") -> str:
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        _fail(f"{path}.{key}" if path else key, f"expected a string, got {value!r}")
-    return value
-
-
-def _number(
-    value: Any, path: str, *, positive: bool = False, nonnegative: bool = False
-) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    number = float(value)
-    if positive and number <= 0:
-        _fail(path, f"must be > 0, got {value!r}")
-    if nonnegative and number < 0:
-        _fail(path, f"must be >= 0, got {value!r}")
-    return number
-
-
-def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -288,16 +247,6 @@ _TOP_KEYS = (
     "faults",
     "campaign",
 )
-_TASK_KEYS = (
-    "name",
-    "wcet",
-    "period",
-    "deadline",
-    "bcet",
-    "phase",
-    "priority",
-    "weakly_hard",
-)
 _FAULT_KEYS = (
     "injector",
     "intensity",
@@ -312,70 +261,30 @@ _CAMPAIGN_KEYS = ("schedulers", "seeds", "duration", "hyperperiods")
 def _parse_task(
     obj: Any, path: str, scale: float, explicit_priorities: bool
 ) -> Tuple[Task, Optional[WeaklyHard]]:
-    _check_keys(obj, path, _TASK_KEYS)
-    name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        _fail(f"{path}.name", f"expected a non-empty string, got {name!r}")
-    for key in ("wcet", "period"):
-        if key not in obj:
-            _fail(f"{path}.{key}", "required key is missing")
-    wcet = _number(obj["wcet"], f"{path}.wcet", positive=True) * scale
-    period = _number(obj["period"], f"{path}.period", positive=True) * scale
-    deadline = None
-    if "deadline" in obj:
-        deadline = _number(obj["deadline"], f"{path}.deadline", positive=True) * scale
-    bcet = None
-    if "bcet" in obj:
-        bcet = _number(obj["bcet"], f"{path}.bcet", positive=True) * scale
-    phase = 0.0
-    if "phase" in obj:
-        phase = _number(obj["phase"], f"{path}.phase", nonnegative=True) * scale
-    priority = None
-    if "priority" in obj:
-        if not explicit_priorities:
-            _fail(
-                f"{path}.priority",
-                "only allowed when priorities is 'explicit'",
-            )
-        priority = _integer(obj["priority"], f"{path}.priority")
-        if priority < 0:
-            _fail(f"{path}.priority", f"must be >= 0, got {priority}")
-    elif explicit_priorities:
-        _fail(f"{path}.priority", "required when priorities is 'explicit'")
+    task = parse_task(obj, path, scale, extra_keys=("weakly_hard",))
+    if task.priority is not None and not explicit_priorities:
+        fail(f"{path}.priority", "only allowed when priorities is 'explicit'")
+    if task.priority is None and explicit_priorities:
+        fail(f"{path}.priority", "required when priorities is 'explicit'")
     constraint = None
     if "weakly_hard" in obj:
         pair = obj["weakly_hard"]
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
-        ):
-            _fail(
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            fail(
                 f"{path}.weakly_hard",
                 f"expected an [m, k] pair of integers, got {pair!r}",
             )
-        constraint = coerce_constraint(tuple(pair), where=f"{path}.weakly_hard")
-    try:
-        task = Task(
-            name=name,
-            wcet=wcet,
-            period=period,
-            deadline=deadline,
-            bcet=bcet,
-            phase=phase,
-            priority=priority,
-        )
-    except Exception as exc:
-        _fail(path, str(exc))
+        m, k = (integer(v, f"{path}.weakly_hard[{j}]") for j, v in enumerate(pair))
+        constraint = coerce_constraint((m, k), where=f"{path}.weakly_hard")
     return task, constraint
 
 
 def _parse_execution(obj: Any, path: str) -> Tuple[Dict[str, Any], Optional[float]]:
     allowed = ("model", "bcet_ratio", "p_short", "spread")
-    _check_keys(obj, path, allowed)
-    model = obj.get("model", "gaussian")
+    check_keys(obj, path, allowed)
+    model = string(obj.get("model", "gaussian"), f"{path}.model")
     if model not in _EXECUTION_MODELS:
-        _fail(
+        fail(
             f"{path}.model",
             f"unknown model {model!r}; "
             f"available: {', '.join(sorted(_EXECUTION_MODELS))}",
@@ -384,44 +293,42 @@ def _parse_execution(obj: Any, path: str) -> Tuple[Dict[str, Any], Optional[floa
     normalised: Dict[str, Any] = {"model": model}
     for knob, default in (("p_short", 0.8), ("spread", 0.05)):
         if knob in obj and knob not in knobs:
-            _fail(f"{path}.{knob}", f"not accepted by the {model!r} model")
+            fail(f"{path}.{knob}", f"not accepted by the {model!r} model")
         if knob in knobs:
-            value = _number(obj.get(knob, default), f"{path}.{knob}", nonnegative=True)
+            value = number(obj.get(knob, default), f"{path}.{knob}", nonnegative=True)
             if knob == "p_short" and not 0.0 <= value <= 1.0:
-                _fail(f"{path}.p_short", f"must be within [0, 1], got {value}")
+                fail(f"{path}.p_short", f"must be within [0, 1], got {value}")
             normalised[knob] = value
     bcet_ratio = None
     if "bcet_ratio" in obj:
-        bcet_ratio = _number(obj["bcet_ratio"], f"{path}.bcet_ratio", positive=True)
+        bcet_ratio = number(obj["bcet_ratio"], f"{path}.bcet_ratio", positive=True)
         if bcet_ratio > 1.0:
-            _fail(f"{path}.bcet_ratio", f"must be <= 1, got {bcet_ratio}")
+            fail(f"{path}.bcet_ratio", f"must be <= 1, got {bcet_ratio}")
     return normalised, bcet_ratio
 
 
 def _parse_faults(obj: Any, path: str) -> ScenarioFaults:
-    _check_keys(obj, path, _FAULT_KEYS)
+    check_keys(obj, path, _FAULT_KEYS)
     injector = obj.get("injector")
     if injector is not None:
         if not isinstance(injector, str) or injector not in available_injectors():
-            _fail(
+            fail(
                 f"{path}.injector",
                 f"unknown injector {injector!r}; "
                 f"available: {', '.join(available_injectors())}",
             )
-    intensity = _number(obj.get("intensity", 0.0), f"{path}.intensity", nonnegative=True)
-    seed = _integer(obj.get("seed", 0), f"{path}.seed")
+    intensity = number(obj.get("intensity", 0.0), f"{path}.intensity", nonnegative=True)
+    seed = integer(obj.get("seed", 0), f"{path}.seed")
     miss_policy = obj.get("miss_policy", "run-to-completion")
     if miss_policy not in MISS_POLICIES:
-        _fail(
+        fail(
             f"{path}.miss_policy",
             f"must be one of {MISS_POLICIES}, got {miss_policy!r}",
         )
-    flags = {}
-    for key in ("overrun_watchdog", "sleep_guard"):
-        value = obj.get(key, False)
-        if not isinstance(value, bool):
-            _fail(f"{path}.{key}", f"expected a boolean, got {value!r}")
-        flags[key] = value
+    flags = {
+        key: boolean(obj.get(key, False), f"{path}.{key}")
+        for key in ("overrun_watchdog", "sleep_guard")
+    }
     return ScenarioFaults(
         injector=injector,
         intensity=intensity,
@@ -435,36 +342,45 @@ def _parse_faults(obj: Any, path: str) -> ScenarioFaults:
 def _parse_campaign(
     obj: Any, path: str, scale: float, taskset: TaskSet
 ) -> ScenarioCampaign:
-    _check_keys(obj, path, _CAMPAIGN_KEYS)
+    check_keys(obj, path, _CAMPAIGN_KEYS)
     schedulers = obj.get("schedulers", ["fps"])
     if not isinstance(schedulers, list) or not schedulers:
-        _fail(f"{path}.schedulers", f"expected a non-empty list, got {schedulers!r}")
+        fail(f"{path}.schedulers", f"expected a non-empty list, got {schedulers!r}")
     known = available_schedulers()
     for i, scheduler in enumerate(schedulers):
         if not isinstance(scheduler, str) or scheduler.lower() not in known:
-            _fail(
+            fail(
                 f"{path}.schedulers[{i}]",
                 f"unknown scheduler {scheduler!r}; available: {', '.join(known)}",
             )
     schedulers = tuple(s.lower() for s in schedulers)
     if len(set(schedulers)) != len(schedulers):
-        _fail(f"{path}.schedulers", f"duplicate entries in {list(schedulers)!r}")
+        fail(f"{path}.schedulers", f"duplicate entries in {list(schedulers)!r}")
     seeds = obj.get("seeds", [1])
     if not isinstance(seeds, list) or not seeds:
-        _fail(f"{path}.seeds", f"expected a non-empty list, got {seeds!r}")
+        fail(f"{path}.seeds", f"expected a non-empty list, got {seeds!r}")
     seeds = tuple(
-        _integer(seed, f"{path}.seeds[{i}]") for i, seed in enumerate(seeds)
+        integer(seed, f"{path}.seeds[{i}]") for i, seed in enumerate(seeds)
     )
     if "duration" in obj and "hyperperiods" in obj:
-        _fail(f"{path}.duration", "give either duration or hyperperiods, not both")
+        fail(f"{path}.duration", "give either duration or hyperperiods, not both")
     if "duration" in obj:
-        duration = _number(obj["duration"], f"{path}.duration", positive=True) * scale
+        duration = number(
+            obj["duration"], f"{path}.duration", positive=True, scale=scale
+        )
     else:
         hyperperiods = obj.get("hyperperiods", 1)
-        hyperperiods = _integer(hyperperiods, f"{path}.hyperperiods")
+        hyperperiods = integer(hyperperiods, f"{path}.hyperperiods")
         if hyperperiods < 1:
-            _fail(f"{path}.hyperperiods", f"must be >= 1, got {hyperperiods}")
-        duration = taskset.hyperperiod * hyperperiods
+            fail(f"{path}.hyperperiods", f"must be >= 1, got {hyperperiods}")
+        try:
+            hyperperiod = taskset.hyperperiod
+        except (OverflowError, ValueError) as exc:
+            fail(
+                f"{path}.hyperperiods",
+                f"the periods have no finite hyperperiod ({exc}); give a duration",
+            )
+        duration = number(hyperperiods, f"{path}.hyperperiods", scale=hyperperiod)
     return ScenarioCampaign(schedulers=schedulers, seeds=seeds, duration=duration)
 
 
@@ -474,35 +390,29 @@ def parse_scenario(document: Mapping[str, Any]) -> Scenario:
     Every rejection is a :class:`~repro.errors.ConfigurationError` whose
     message starts with the offending field path.
     """
-    _check_keys(document, "", _TOP_KEYS)
+    check_keys(document, "", _TOP_KEYS)
     schema = document.get("schema")
     if schema != SCHEMA_ID:
-        _fail("schema", f"expected {SCHEMA_ID!r}, got {schema!r}")
+        fail("schema", f"expected {SCHEMA_ID!r}, got {schema!r}")
     name = document.get("name")
     if not isinstance(name, str) or not name or not set(name) <= _SLUG_CHARS:
-        _fail(
+        fail(
             "name",
             "expected a slug of [a-z0-9_-] characters, got " + repr(name),
         )
-    description = _string(document, "", "description")
-    citation = _string(document, "", "citation")
-    notes = _string(document, "", "notes")
-    time_unit = document.get("time_unit", "us")
-    if time_unit not in TIME_UNITS:
-        _fail(
-            "time_unit",
-            f"must be one of {sorted(TIME_UNITS)}, got {time_unit!r}",
-        )
-    scale = TIME_UNITS[time_unit]
+    description = string(document.get("description", ""), "description")
+    citation = string(document.get("citation", ""), "citation")
+    notes = string(document.get("notes", ""), "notes")
+    scale = time_scale(document)
     priorities = document.get("priorities", "rate_monotonic")
     if priorities not in PRIORITY_POLICIES:
-        _fail(
+        fail(
             "priorities",
             f"must be one of {PRIORITY_POLICIES}, got {priorities!r}",
         )
     raw_tasks = document.get("tasks")
     if not isinstance(raw_tasks, list) or not raw_tasks:
-        _fail("tasks", f"expected a non-empty list, got {raw_tasks!r}")
+        fail("tasks", f"expected a non-empty list, got {raw_tasks!r}")
     explicit = priorities == "explicit"
     tasks: List[Task] = []
     constraints: Dict[str, WeaklyHard] = {}
@@ -513,10 +423,10 @@ def parse_scenario(document: Mapping[str, Any]) -> Scenario:
             constraints[task.name] = constraint
 
     processor = document.get("processor", {"name": "arm8"})
-    _check_keys(processor, "processor", ("name",))
-    processor_name = processor.get("name", "arm8")
+    check_keys(processor, "processor", ("name",))
+    processor_name = string(processor.get("name", "arm8"), "processor.name")
     if processor_name not in _PROCESSORS:
-        _fail(
+        fail(
             "processor.name",
             f"must be one of {sorted(_PROCESSORS)}, got {processor_name!r}",
         )
@@ -525,7 +435,7 @@ def parse_scenario(document: Mapping[str, Any]) -> Scenario:
         document.get("execution", {}), "execution"
     )
     if bcet_ratio is not None and any("bcet" in raw for raw in raw_tasks):
-        _fail(
+        fail(
             "execution.bcet_ratio",
             "conflicts with per-task bcet values; give one or the other",
         )
@@ -533,7 +443,7 @@ def parse_scenario(document: Mapping[str, Any]) -> Scenario:
     try:
         taskset = TaskSet(tasks, name=name)
     except Exception as exc:
-        _fail("tasks", str(exc))
+        fail("tasks", str(exc))
     if bcet_ratio is not None:
         taskset = taskset.with_bcet_ratio(bcet_ratio)
     if not explicit:
@@ -547,7 +457,7 @@ def parse_scenario(document: Mapping[str, Any]) -> Scenario:
     if constraints:
         demand = weakly_hard_demand(taskset, constraints)
         if demand > 1.0 + 1e-9:
-            _fail(
+            fail(
                 "tasks",
                 f"weakly-hard demand {demand:.3f} exceeds the processor "
                 "(sum of (m/k) * utilization must be <= 1); the scenario "

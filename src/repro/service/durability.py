@@ -312,7 +312,8 @@ class CampaignStore:
         rewritten from under its open append handle — the repair is
         skipped and recorded as a problem instead (the owner terminates
         torn tails itself on its next append).  One unreadable file is
-        one report entry, never an aborted scrub.  Counters:
+        one report entry (an unreadable log also counts in
+        ``logs_unreadable``), never an aborted scrub.  Counters:
         ``cache.scrub_manifests``, ``cache.scrub_manifest_corrupt``,
         ``cache.scrub_events``, ``cache.scrub_event_corrupt``,
         ``cache.scrub_events_truncated``.
@@ -328,6 +329,7 @@ class CampaignStore:
             "events": 0,
             "events_corrupt": 0,
             "logs_truncated": 0,
+            "logs_unreadable": 0,
             "problems": [],
         }
         if not self.campaigns_dir.is_dir():
@@ -350,6 +352,7 @@ class CampaignStore:
             try:
                 lines = RecordLog(path).lines()
             except OSError as exc:
+                report["logs_unreadable"] += 1
                 report["problems"].append(
                     {
                         "path": str(path),

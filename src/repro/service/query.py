@@ -25,26 +25,24 @@ exactly what will run:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
+from ..documents import (
+    boolean, check_keys, fail, integer, number, parse_task, string, time_scale,
+)
 from ..errors import ConfigurationError, ServiceError
 from ..tasks.generation import ExecutionTimeModel, GaussianModel, WcetModel
 from ..tasks.priority import rate_monotonic
-from ..tasks.task import Task, TaskSet
+from ..tasks.task import TaskSet
 
 #: The question kinds the service answers.
 KINDS = ("schedulability", "rta", "energy")
 
 #: Execution-time models a query may name (energy kind only).
 EXECUTION_MODELS = ("wcet", "gaussian")
-
-#: Accepted time units for inline task parameters, as µs multipliers.
-TIME_UNITS: Dict[str, float] = {"us": 1.0, "ms": 1_000.0, "s": 1_000_000.0}
-
-#: Task fields carrying times, scaled by the query's ``time_unit``.
-_TIME_FIELDS = ("wcet", "period", "deadline", "bcet", "phase")
 
 
 class QueryError(ServiceError):
@@ -96,6 +94,15 @@ class Query:
         )
 
 
+@contextmanager
+def bad_request() -> Iterator[None]:
+    """Re-raise a field validator's refusal as a :class:`QueryError`."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise QueryError(str(exc)) from exc
+
+
 def build_query(
     kind: str,
     taskset: TaskSet,
@@ -111,25 +118,36 @@ def build_query(
     *taskset* may lack priorities (rate-monotonic is assigned) and is
     copied with *bcet_ratio* applied when given.  For analytic kinds the
     simulation-only knobs are canonicalised so the fingerprint ignores
-    them.
+    them.  The scalar arguments pass the :mod:`repro.documents`
+    validators, so a JSON request and an in-process call follow one set
+    of rules.
     """
     if kind not in KINDS:
         raise QueryError(f"unknown query kind {kind!r}; available: {', '.join(KINDS)}")
     if not taskset.has_priorities:
         taskset = rate_monotonic(taskset)
-    try:
+    with bad_request():
+        scheduler = string(scheduler, "scheduler").lower()
+        seed = integer(seed, "seed")
+        record_trace = boolean(record_trace, "record_trace")
         taskset.assert_priorities()
         if bcet_ratio is not None:
-            taskset = taskset.with_bcet_ratio(bcet_ratio)
-    except ConfigurationError as exc:
-        raise QueryError(str(exc)) from exc
-    if kind != "energy":
-        # Analytic answers depend on the task set alone.
-        return Query(kind=kind, taskset=taskset, scheduler="rta", seed=0,
-                     duration=None, execution="wcet", record_trace=False)
+            ratio = number(bcet_ratio, "bcet_ratio", positive=True)
+            taskset = taskset.with_bcet_ratio(ratio)
+        if kind != "energy":
+            # Analytic answers depend on the task set alone.
+            return Query(kind=kind, taskset=taskset, scheduler="rta", seed=0,
+                         duration=None, execution="wcet", record_trace=False)
+        if duration is None:
+            from ..experiments.runner import measurement_duration
+
+            try:
+                duration = measurement_duration(taskset)
+            except (OverflowError, ValueError) as exc:
+                fail("duration", f"no finite default for these periods ({exc})")
+        duration = number(duration, "duration", positive=True)
     from ..schedulers.registry import available_schedulers
 
-    scheduler = scheduler.lower()
     if scheduler not in available_schedulers():
         raise QueryError(
             f"unknown scheduler {scheduler!r}; "
@@ -140,60 +158,23 @@ def build_query(
             f"unknown execution model {execution!r}; "
             f"available: {', '.join(EXECUTION_MODELS)}"
         )
-    if duration is None:
-        from ..experiments.runner import measurement_duration
-
-        duration = measurement_duration(taskset)
-    duration = float(duration)
-    if duration <= 0:
-        raise QueryError(f"duration must be > 0, got {duration}")
     return Query(
         kind=kind,
         taskset=taskset,
         scheduler=scheduler,
-        seed=int(seed),
+        seed=seed,
         duration=duration,
         execution=execution,
-        record_trace=bool(record_trace),
+        record_trace=record_trace,
     )
 
 
-def _parse_tasks(raw: Sequence[Mapping[str, Any]], unit_scale: float) -> TaskSet:
-    """Build a :class:`TaskSet` from inline JSON task dicts."""
-    if not raw:
-        raise QueryError("tasks must be a non-empty list")
-    tasks = []
-    priorities_given = 0
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, Mapping):
-            raise QueryError(f"tasks[{i}] must be an object")
-        unknown = set(entry) - {"name", "priority", *_TIME_FIELDS}
-        if unknown:
-            raise QueryError(f"tasks[{i}]: unknown fields {sorted(unknown)}")
-        if "name" not in entry or "wcet" not in entry or "period" not in entry:
-            raise QueryError(f"tasks[{i}]: name, wcet, and period are required")
-        kwargs: Dict[str, Any] = {"name": str(entry["name"])}
-        for field in _TIME_FIELDS:
-            if entry.get(field) is not None:
-                try:
-                    kwargs[field] = float(entry[field]) * unit_scale
-                except (TypeError, ValueError):
-                    raise QueryError(
-                        f"tasks[{i}].{field} must be a number, got {entry[field]!r}"
-                    ) from None
-        if entry.get("priority") is not None:
-            kwargs["priority"] = int(entry["priority"])
-            priorities_given += 1
-        try:
-            tasks.append(Task(**kwargs))
-        except ConfigurationError as exc:
-            raise QueryError(f"tasks[{i}]: {exc}") from exc
-    if 0 < priorities_given < len(tasks):
-        raise QueryError("either all tasks or none must carry a priority")
-    try:
-        return TaskSet(tasks, name="inline")
-    except ConfigurationError as exc:
-        raise QueryError(str(exc)) from exc
+#: The fields of a ``POST /v1/query`` body (``timeout_s`` is the
+#: server's, stripped before parsing).
+_REQUEST_KEYS = (
+    "kind", "app", "tasks", "time_unit", "scheduler", "seed",
+    "bcet_ratio", "duration", "execution", "record_trace",
+)
 
 
 def parse_query(request: Mapping[str, Any]) -> Query:
@@ -201,68 +182,52 @@ def parse_query(request: Mapping[str, Any]) -> Query:
 
     The request names its workload either by registry name (``"app"``)
     or inline (``"tasks"`` plus optional ``"time_unit"``); everything
-    else is optional with the library's defaults.
+    else is optional with the library's defaults.  Fields are checked
+    by the :mod:`repro.documents` validators the scenario schema uses;
+    a ``null`` top-level field means "not given".
     """
-    if not isinstance(request, Mapping):
-        raise QueryError("request body must be a JSON object")
-    known = {
-        "kind", "app", "tasks", "time_unit", "scheduler", "seed",
-        "bcet_ratio", "duration", "execution", "record_trace",
-    }
-    unknown = set(request) - known
-    if unknown:
-        raise QueryError(f"unknown request fields {sorted(unknown)}")
-    kind = request.get("kind", "energy")
-    unit = request.get("time_unit", "us")
-    if unit not in TIME_UNITS:
-        raise QueryError(
-            f"unknown time_unit {unit!r}; available: {', '.join(TIME_UNITS)}"
-        )
-    scale = TIME_UNITS[unit]
-    has_app = request.get("app") is not None
-    has_tasks = request.get("tasks") is not None
-    if has_app == has_tasks:
-        raise QueryError("exactly one of 'app' or 'tasks' is required")
-    if has_app:
-        from ..workloads.registry import available_workloads, get_workload
+    with bad_request():
+        check_keys(request, "", _REQUEST_KEYS)
+        scale = time_scale(request)
+        app, tasks = request.get("app"), request.get("tasks")
+        if (app is None) == (tasks is None):
+            raise QueryError("exactly one of 'app' or 'tasks' is required")
+        if app is not None:
+            from ..workloads.registry import available_workloads, get_workload
 
-        try:
-            taskset = get_workload(str(request["app"])).taskset
-        except ConfigurationError:
-            raise QueryError(
-                f"unknown workload {request['app']!r}; "
-                f"available: {', '.join(available_workloads())}"
-            ) from None
-    else:
-        tasks = request["tasks"]
-        if not isinstance(tasks, Sequence) or isinstance(tasks, (str, bytes)):
-            raise QueryError("tasks must be a list of task objects")
-        taskset = _parse_tasks(tasks, scale)
-    duration = request.get("duration")
-    if duration is not None:
-        try:
-            duration = float(duration) * scale
-        except (TypeError, ValueError):
-            raise QueryError(f"duration must be a number, got {duration!r}") from None
-    try:
-        seed = int(request.get("seed", 1))
-    except (TypeError, ValueError):
-        raise QueryError(f"seed must be an integer, got {request.get('seed')!r}") from None
-    bcet_ratio = request.get("bcet_ratio")
-    if bcet_ratio is not None:
-        try:
-            bcet_ratio = float(bcet_ratio)
-        except (TypeError, ValueError):
-            raise QueryError(
-                f"bcet_ratio must be a number, got {bcet_ratio!r}"
-            ) from None
+            app = string(app, "app")
+            try:
+                taskset = get_workload(app).taskset
+            except ConfigurationError:
+                raise QueryError(
+                    f"unknown workload {app!r}; "
+                    f"available: {', '.join(available_workloads())}"
+                ) from None
+        else:
+            taskset = _inline_taskset(tasks, scale)
+        duration = request.get("duration")
+        if duration is not None:
+            duration = number(duration, "duration", positive=True, scale=scale)
     return build_query(
-        kind=str(kind),
+        kind=request.get("kind", "energy"),
         taskset=taskset,
-        scheduler=str(request.get("scheduler", "lpfps")),
-        seed=seed,
-        bcet_ratio=bcet_ratio,
+        scheduler=request.get("scheduler", "lpfps"),
+        seed=request.get("seed", 1),
+        bcet_ratio=request.get("bcet_ratio"),
         duration=duration,
-        execution=str(request.get("execution", "gaussian")),
-        record_trace=bool(request.get("record_trace", False)),
+        execution=request.get("execution", "gaussian"),
+        record_trace=request.get("record_trace", False),
     )
+
+
+def _inline_taskset(raw: Any, scale: float) -> TaskSet:
+    """The request's ``tasks`` list: every task or none carries a priority."""
+    if not isinstance(raw, list) or not raw:
+        fail("tasks", f"expected a non-empty list, got {raw!r}")
+    tasks = [parse_task(entry, f"tasks[{i}]", scale) for i, entry in enumerate(raw)]
+    if len({task.priority is None for task in tasks}) > 1:
+        fail("tasks", "either all tasks or none must carry a priority")
+    try:
+        return TaskSet(tasks, name="inline")
+    except ConfigurationError as exc:
+        fail("tasks", str(exc))

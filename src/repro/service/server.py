@@ -40,12 +40,13 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
+from ..documents import check_keys, fail, integer, number, string
 from ..errors import ConfigurationError, ServiceError, error_kind
 from ..obs.registry import Registry, install
 from .broker import AdmissionError, Broker, RequestTimeout, ServiceGuards
 from .cache import ResultCache, scrub_cache
 from .durability import CampaignStore, campaign_key
-from .query import Query, QueryError, parse_query
+from .query import Query, QueryError, bad_request, parse_query
 from .stream import CampaignEvicted, CampaignHub, TERMINAL_KINDS, sse_render
 
 #: Largest accepted request body, bytes — queries are small; anything
@@ -133,17 +134,13 @@ class ScheduleService:
         not the answer — so it is stripped before parsing and never
         reaches the fingerprint.
         """
-        request = dict(request)
-        timeout = request.pop("timeout_s", None)
+        timeout = None
+        if isinstance(request, Mapping):
+            request = dict(request)
+            timeout = request.pop("timeout_s", None)
         if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise QueryError(
-                    f"timeout_s must be a number, got {timeout!r}"
-                ) from None
-            if timeout <= 0:
-                raise QueryError(f"timeout_s must be > 0, got {timeout}")
+            with bad_request():
+                timeout = number(timeout, "timeout_s", positive=True)
         return self.query(parse_query(request), timeout=timeout)
 
     def submit_scenario(self, request: Mapping[str, Any]) -> Dict[str, Any]:
@@ -168,24 +165,21 @@ class ScheduleService:
         """
         from ..scenarios import load_pack, parse_scenario
 
-        request = dict(request)
-        pack = request.pop("pack", None)
-        document = request.pop("scenario", None)
-        jobs = request.pop("jobs", 1)
-        if request:
-            raise QueryError(f"unknown fields: {sorted(request)}")
-        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-            raise QueryError(f"jobs must be an integer >= 1, got {jobs!r}")
-        if (pack is None) == (document is None):
-            raise QueryError("give exactly one of 'pack' or 'scenario'")
-        if pack is not None:
-            if not isinstance(pack, str):
-                raise QueryError(f"pack must be a string, got {pack!r}")
-            scenario = load_pack(pack)
-        else:
-            if not isinstance(document, Mapping):
-                raise QueryError(f"scenario must be an object, got {document!r}")
-            scenario = parse_scenario(document)
+        with bad_request():
+            check_keys(request, "", ("pack", "scenario", "jobs"))
+            jobs = integer(request.get("jobs", 1), "jobs")
+            if jobs < 1:
+                fail("jobs", f"must be >= 1, got {jobs}")
+            pack = request.get("pack")
+            document = request.get("scenario")
+            if (pack is None) == (document is None):
+                fail("", "give exactly one of 'pack' or 'scenario'")
+            if pack is not None:
+                scenario = load_pack(string(pack, "pack"))
+            elif not isinstance(document, Mapping):
+                fail("scenario", f"expected an object, got {document!r}")
+            else:
+                scenario = parse_scenario(document)
         cells = len(scenario.campaign.schedulers) * len(scenario.campaign.seeds)
         fingerprint = scenario.fingerprint()
         meta = {
@@ -378,12 +372,9 @@ class ScheduleService:
                 if snapshot is None:
                     store.release_lease(campaign_id)
                     continue
-                document = manifest.get("scenario_document")
-                jobs = manifest.get("jobs", 1)
                 try:
-                    scenario = parse_scenario(document)
-                    if not isinstance(jobs, int) or isinstance(jobs, bool):
-                        raise ConfigurationError(f"bad jobs {jobs!r}")
+                    scenario = parse_scenario(manifest.get("scenario_document"))
+                    jobs = integer(manifest.get("jobs", 1), "jobs")
                 except Exception as exc:
                     # An unresumable manifest must not strand subscribers
                     # on a forever-running stream: close it loudly (while
@@ -553,8 +544,8 @@ class _Handler(BaseHTTPRequestHandler):
         except QueryError as exc:
             self._error(400, str(exc), error_kind=error_kind(exc))
         except ConfigurationError as exc:
-            # Scenario validation failures carry their field path in the
-            # message; they are the caller's to fix, hence 400.
+            # Request fields are refused as QueryError above; any other
+            # configuration refusal is still the caller's to fix, hence 400.
             self._error(400, str(exc), error_kind="bad-request")
         except AdmissionError as exc:
             # Guarantee-preserving degradation: the shed answer tells the

@@ -30,6 +30,7 @@ public attributes (``now``, ``run_queue``, ``delay_queue``,
 from __future__ import annotations
 
 import enum
+import math
 import random
 from collections import defaultdict
 from time import perf_counter
@@ -195,8 +196,10 @@ class Simulator:
             execution_model if execution_model is not None else WcetModel()
         )
         self.horizon = float(duration) if duration is not None else taskset.hyperperiod
-        if self.horizon <= 0:
-            raise ConfigurationError(f"duration must be > 0, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:  # also refuses NaN
+            raise ConfigurationError(
+                f"duration must be finite and > 0, got {self.horizon}"
+            )
         self._rng = random.Random(seed)
         self._on_miss = on_miss
         if scheduler_overhead < 0:

@@ -33,6 +33,12 @@ class TestLibrary:
         with pytest.raises(ConfigurationError, match="available: .*weakly_hard"):
             load_pack("nope")
 
+    def test_a_path_is_not_a_pack_name(self):
+        # A pack name arrives in /v1/scenario bodies; a relative path must
+        # not reach a JSON file outside the library.
+        with pytest.raises(ConfigurationError, match="unknown scenario pack"):
+            load_pack("../packs/cnc")
+
     def test_pack_path_points_into_the_library(self):
         path = pack_path("cnc")
         assert path.parent == PACKS_DIR

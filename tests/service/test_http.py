@@ -144,6 +144,92 @@ class TestQuery:
             assert payload["error_kind"] in ERROR_KINDS
 
 
+def _post_raw(url, path, body):
+    """POST *body* verbatim: JSON's ``Infinity``/``NaN`` and integers of
+    any length reach the parser exactly as a client wrote them."""
+    parsed = urlparse(url)
+    connection = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
+    try:
+        connection.request(
+            "POST", path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+HUGE = "9" * 400
+
+ONE_TASK = '"tasks": [{"name": "a", "wcet": 1, "period": %s%s}]'
+
+
+class TestStrictNumbers:
+    """A number the kernel cannot run is answered 400, naming its field,
+    at once: an infinite horizon used to hold the broker's only
+    dispatcher thread for good, and a 400-digit integer closed the
+    connection with no answer."""
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ('{"app": "cnc", "duration": Infinity}', "duration"),
+            ('{"app": "cnc", "duration": NaN}', "duration"),
+            ('{"app": "cnc", "duration": "inf"}', "duration"),
+            ('{"app": "cnc", "duration": %s}' % HUGE, "duration"),
+            ('{"app": "cnc", "seed": 1.5}', "seed"),
+            ('{"app": "cnc", "record_trace": "false"}', "record_trace"),
+            ("{%s}" % ONE_TASK % (10, ', "priority": 1.7'), "tasks[0].priority"),
+            ('{"tasks": [{"name": "a", "wcet": true, "period": 10}]}',
+             "tasks[0].wcet"),
+        ],
+    )
+    def test_query_is_refused_naming_its_field(self, service_url, body, field):
+        started = time.monotonic()
+        status, payload = _post_raw(service_url, "/v1/query", body)
+        assert time.monotonic() - started < 1.0
+        assert status == 400
+        assert payload["error"].startswith(field + ": ")
+        assert payload["error_kind"] == "bad-request"
+
+    @pytest.mark.parametrize("path", ["/v1/query", "/v1/scenario"])
+    @pytest.mark.parametrize("body", ["5", "[1]", '"x"'])
+    def test_a_body_that_is_not_an_object_is_refused(self, service_url, path, body):
+        status, payload = _post_raw(service_url, path, body)
+        assert status == 400
+        assert payload["error"].startswith("expected an object")
+
+    def test_a_miss_after_an_infinite_horizon_is_answered(self, service_url):
+        status, _ = _post_raw(
+            service_url, "/v1/query", '{"app": "cnc", "duration": Infinity}'
+        )
+        assert status == 400
+        miss = {"kind": "energy", "app": "cnc", "duration": 50_000.0, "seed": 4242}
+        status, payload = _post_raw(service_url, "/v1/query", json.dumps(miss))
+        assert status == 200
+        assert payload["ok"] is True
+
+    def test_scenario_is_refused_before_any_manifest(self, tmp_path):
+        head = '{"scenario": {"schema": "repro/scenario/v1", "name": "x", '
+        bodies = [
+            (head + ONE_TASK % (10, "") + ', "campaign": {"duration": Infinity}}}',
+             "campaign.duration"),
+            (head + ONE_TASK % (HUGE, "") + "}}", "tasks[0].period"),
+        ]
+        service = ScheduleService(jobs=1, checkpoint_dir=tmp_path)
+        try:
+            with running_server(service) as server:
+                for body, field in bodies:
+                    started = time.monotonic()
+                    status, payload = _post_raw(server.url, "/v1/scenario", body)
+                    assert time.monotonic() - started < 1.0
+                    assert status == 400
+                    assert payload["error"].startswith(field + ": ")
+        finally:
+            service.close()
+        assert list(tmp_path.rglob("*.manifest.json")) == []
+
+
 def test_kept_alive_answers_do_not_stall(service_url):
     # Headers and body leave in separate writes; with Nagle on, every
     # answer on a kept-alive connection waited ~40 ms for a delayed ACK.

@@ -165,6 +165,19 @@ class TestCampaignStore:
         # And the service constructor (which scrubs) starts cleanly too.
         ScheduleService(jobs=1, checkpoint_dir=tmp_path).close()
 
+    def test_cache_verify_fails_on_an_unreadable_event_log(self, tmp_path, capsys):
+        # Like an unreadable cache entry, a log the scrub cannot read is
+        # corruption: exit 1 unless --repair was asked for.
+        from repro.cli import main
+
+        (tmp_path / "campaigns" / "cabc.events.jsonl").mkdir(parents=True)
+        verify = ["cache", "verify", "--checkpoint", str(tmp_path)]
+        assert main(verify) == 1
+        out = capsys.readouterr().out
+        assert "unreadable:IsADirectoryError" in out
+        assert "1 unreadable" in out
+        assert main(verify + ["--repair"]) == 0
+
 
 class TestCrossProcessLeases:
     def test_lease_is_exclusive_across_stores(self, tmp_path):

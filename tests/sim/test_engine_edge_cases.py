@@ -1,5 +1,10 @@
 """Engine edge cases: simultaneity, horizons, overload, degenerate sets."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.lpfps import LpfpsScheduler
@@ -10,6 +15,8 @@ from repro.sim.engine import simulate
 from repro.tasks.generation import WcetModel
 from repro.tasks.priority import rate_monotonic
 from repro.tasks.task import Task, TaskSet
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestSimultaneousEvents:
@@ -144,3 +151,46 @@ class TestDeterminism:
         assert results[0].energy.total == results[1].energy.total
         assert results[0].speed_changes == results[1].speed_changes
         assert results[0].sleep_entries == results[1].sleep_entries
+
+
+class TestNonFiniteHorizon:
+    """An infinite horizon never ends the event loop, so the kernel
+    refuses it up front.  Each call runs in a subprocess under a timeout:
+    a kernel without the check hangs there instead of in the suite."""
+
+    @staticmethod
+    def _run(args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        try:
+            return subprocess.run(
+                [sys.executable, *args], capture_output=True, text=True,
+                env=env, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{args} still running after 60 s")
+
+    @pytest.mark.parametrize("duration", ["inf", "nan", "-inf"])
+    def test_simulate_refuses_at_once(self, duration):
+        done = self._run([
+            "-c",
+            "from repro.errors import ConfigurationError\n"
+            "from repro.schedulers.fps import FpsScheduler\n"
+            "from repro.sim.engine import simulate\n"
+            "from repro.workloads.registry import get_workload\n"
+            "try:\n"
+            "    simulate(get_workload('cnc').prioritized(), FpsScheduler(),\n"
+            f"             duration=float({duration!r}))\n"
+            "except ConfigurationError as exc:\n"
+            "    print(exc)\n",
+        ])
+        assert done.stdout.startswith("duration must be finite and > 0"), done
+
+    def test_cli_duration_flag_is_refused(self):
+        done = self._run(
+            ["-m", "repro", "simulate", "--app", "cnc", "--duration", "inf"]
+        )
+        assert done.returncode != 0
+        assert "duration must be finite and > 0" in done.stderr
