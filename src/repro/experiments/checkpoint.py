@@ -46,7 +46,7 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
-from ..store import FileLock, RecordLog
+from ..store import FileLock, RecordLog, canonical_sha256
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner ← checkpoint)
     from .runner import RunSpec
@@ -224,10 +224,7 @@ def spec_fingerprint(spec: "RunSpec") -> Optional[str]:
     recompute.
     """
     payload = canonical_spec_payload(spec)
-    if payload is None:
-        return None
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return None if payload is None else canonical_sha256(payload)
 
 
 #: The writer's line (``record_many``: sorted keys, no spaces) after its

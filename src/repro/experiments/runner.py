@@ -28,7 +28,7 @@ from pathlib import Path
 from time import perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import ConfigurationError, ExecutionError, error_kind
+from ..errors import ConfigurationError, ExecutionError, ReproError, error_kind
 from ..faults.layer import FaultLayer
 from ..obs.registry import current
 from ..power.processor import ProcessorSpec
@@ -124,8 +124,10 @@ class CellFailure:
     process kept dying past the retry budget.  Carries everything
     needed to triage without re-running: the spec's identity, the
     :data:`~repro.errors.ERROR_KINDS` classification, and the original
-    traceback.  ``metadata`` exists so campaign provenance stamping
-    treats failures like any other result.
+    traceback.  ``repro_error`` is true when the cell raised a
+    :class:`~repro.errors.ReproError`: a property of the cell's own
+    inputs, which the same cell raises again.  ``metadata`` exists so
+    campaign provenance stamping treats failures like any other result.
     """
 
     index: int
@@ -138,11 +140,28 @@ class CellFailure:
     traceback: str = ""
     attempts: int = 1
     metadata: Dict[str, Any] = field(default_factory=dict)
+    repro_error: bool = False
 
     @property
     def failed(self) -> bool:
         """Always ``True`` — the isinstance-free way to filter results."""
         return True
+
+    @classmethod
+    def _for(cls, spec: RunSpec, **fields: Any) -> "CellFailure":
+        """A failure record carrying *spec*'s identity."""
+        scheduler = (
+            spec.scheduler
+            if isinstance(spec.scheduler, str)
+            else getattr(spec.scheduler, "__name__", type(spec.scheduler).__name__)
+        )
+        return cls(
+            taskset=spec.taskset.name,
+            scheduler=scheduler,
+            seed=spec.seed,
+            metadata={"cell_wall_s": 0.0},
+            **fields,
+        )
 
     @classmethod
     def from_exception(
@@ -153,16 +172,9 @@ class CellFailure:
         attempts: int = 1,
     ) -> "CellFailure":
         """Build a failure record for *spec* from a raised exception."""
-        scheduler = (
-            spec.scheduler
-            if isinstance(spec.scheduler, str)
-            else getattr(spec.scheduler, "__name__", type(spec.scheduler).__name__)
-        )
-        return cls(
+        return cls._for(
+            spec,
             index=index,
-            taskset=spec.taskset.name,
-            scheduler=scheduler,
-            seed=spec.seed,
             error_kind=error_kind(exc),
             error_type=type(exc).__name__,
             message=str(exc),
@@ -170,7 +182,7 @@ class CellFailure:
                 traceback_module.format_exception(type(exc), exc, exc.__traceback__)
             ),
             attempts=attempts,
-            metadata={"cell_wall_s": 0.0},
+            repro_error=isinstance(exc, ReproError),
         )
 
     @classmethod
@@ -178,16 +190,9 @@ class CellFailure:
         cls, spec: RunSpec, index: int, attempts: int
     ) -> "CellFailure":
         """Build a failure record for a cell whose workers kept dying."""
-        scheduler = (
-            spec.scheduler
-            if isinstance(spec.scheduler, str)
-            else getattr(spec.scheduler, "__name__", type(spec.scheduler).__name__)
-        )
-        return cls(
+        return cls._for(
+            spec,
             index=index,
-            taskset=spec.taskset.name,
-            scheduler=scheduler,
-            seed=spec.seed,
             error_kind="internal",
             error_type="BrokenProcessPool",
             message=(
@@ -195,7 +200,6 @@ class CellFailure:
                 "retry budget exhausted"
             ),
             attempts=attempts,
-            metadata={"cell_wall_s": 0.0},
         )
 
 
@@ -561,12 +565,13 @@ def _run_pool_supervised(
     deterministically and charged against its retry budget, while
     innocent bystanders complete on their first quarantine run and are
     never charged.  Everything never submitted continues in a fresh
-    full-width pool.
+    full-width pool.  The first pool is no exception: a killer in its
+    first wave goes through quarantine too, so no cell ever runs in the
+    supervising process after a worker died.
     """
     attempts: Dict[int, int] = {i: 0 for i in indices}
     pending: List[int] = list(indices)
     quarantine: "deque[int]" = deque()
-    completed_any = False
     while pending or quarantine:
         if quarantine:
             batch: List[int] = [quarantine.popleft()]
@@ -579,17 +584,8 @@ def _run_pool_supervised(
             fingerprints, stats, progress,
         )
         pending.extend(leftover)
-        completed_any = completed_any or any(
-            results[i] is not None for i in batch
-        )
         if not broken:
             continue
-        if failures == "raise" and not completed_any and stats.pool_rebuilds == 0:
-            # The very first pool died before finishing a single cell:
-            # indistinguishable from an environment where process
-            # pooling simply does not work, so preserve the historical
-            # serial fallback instead of burning retry budgets.
-            raise _PoolUnavailable()
         stats.pool_rebuilds += 1
         if len(batch) > 1:
             # Any cell in flight may have killed the pool; none is

@@ -29,7 +29,6 @@ Three layers, strictly ordered:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +50,7 @@ from ..faults.layer import FaultLayer
 from ..power.processor import ProcessorSpec
 from ..schedulers.registry import available_schedulers
 from ..service.fingerprint import FINGERPRINT_VERSION, taskset_fingerprint
+from ..store import canonical_sha256
 from ..tasks.generation import (
     BcetModel,
     BimodalModel,
@@ -229,8 +229,7 @@ class Scenario:
                 "duration": num(self.campaign.duration),
             },
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_sha256(payload)
 
 
 _TOP_KEYS = (

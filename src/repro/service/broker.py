@@ -16,17 +16,21 @@ Requests flow through four gates:
    fault layer's graceful-degradation guards: bound the damage, keep
    serving.
 4. **Micro-batching** — admitted misses are collected for a short window
-   (``guards.batch_window_s``, or until ``guards.max_batch``) and
+   (``guards.batch_window_s``, or until :data:`MAX_BATCH`) and
    dispatched as *one* :func:`repro.experiments.runner.run_many`
    campaign, which amortises dispatch overhead and fans out over worker
    processes under the shared ``jobs`` convention (``0`` = auto).
 
-Failure containment mirrors ``faults/guards``: a batch whose campaign
-raises is retried serially cell-by-cell (``guards.serial_fallback``), so
-one poisoned query cannot take down its batch neighbours; deterministic
-refusals become cacheable error payloads; per-request timeouts
-(:class:`RequestTimeout`, HTTP 504) abandon the *wait*, never the
-computation — the late answer still lands in the cache for the retry.
+An energy miss is a campaign cell: its key is the cell's journal key
+(:mod:`repro.service.fingerprint`) and its failures are contained by
+``run_many(..., failures="contain")``, so one poisoned query — a cell
+that raises or kills its worker — cannot fail its batch neighbours, and
+no cell is ever rerun.  :func:`~repro.service.results.cell_answer` turns
+each outcome into an answer: deterministic refusals become cacheable
+error payloads, anything else fails only its own waiters, uncached.
+Per-request timeouts (:class:`RequestTimeout`, HTTP 504) abandon the
+*wait*, never the computation — the late answer still lands in the
+cache for the retry.
 """
 
 from __future__ import annotations
@@ -37,13 +41,19 @@ from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import ConfigurationError, ReproError, ServiceError
+from ..errors import ConfigurationError, ServiceError
 from ..experiments.runner import resolve_jobs, run_many
 from ..obs.registry import Registry, install
 from .cache import ResultCache
 from .fingerprint import fingerprint
 from .query import Query
-from .results import encode_result, error_payload, execute_analytic
+from .results import CellError, cell_answer, execute_analytic
+# Importable here with fingerprint and run_many: the ledger's trace
+# shims (benchmarks/ledger/spans.py) wrap the names of this module.
+from .results import encode_result  # noqa: F401
+
+#: Hard cap on cells per dispatched campaign.
+MAX_BATCH = 32
 
 
 class AdmissionError(ServiceError):
@@ -85,6 +95,8 @@ class BrokerClosed(ServiceError):
 class ServiceGuards:
     """Admission-control and degradation knobs, in the GuardConfig idiom.
 
+    The three fields ``lpfps serve`` sets.
+
     Attributes
     ----------
     max_pending:
@@ -95,18 +107,11 @@ class ServiceGuards:
     batch_window_s:
         How long the dispatcher holds the first miss of a batch while
         more arrive.  Zero dispatches every miss immediately.
-    max_batch:
-        Hard cap on cells per dispatched campaign.
-    serial_fallback:
-        Retry a failed batch cell-by-cell so one poisoned query cannot
-        fail its neighbours.
     """
 
     max_pending: int = 256
     request_timeout_s: float = 60.0
     batch_window_s: float = 0.005
-    max_batch: int = 32
-    serial_fallback: bool = True
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -121,18 +126,6 @@ class ServiceGuards:
             raise ConfigurationError(
                 f"batch_window_s must be >= 0, got {self.batch_window_s}"
             )
-        if self.max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {self.max_batch}")
-
-    @staticmethod
-    def none() -> "ServiceGuards":
-        """Effectively unguarded: huge queue, no batching delay."""
-        return ServiceGuards(
-            max_pending=1_000_000,
-            request_timeout_s=3_600.0,
-            batch_window_s=0.0,
-            serial_fallback=False,
-        )
 
 
 class Submission(NamedTuple):
@@ -319,7 +312,7 @@ class Broker:
             batch = [first]
             with obs.span("broker.batch_window"):
                 cutoff = time.monotonic() + self._effective_window()
-                while len(batch) < self.guards.max_batch:
+                while len(batch) < MAX_BATCH:
                     remaining = cutoff - time.monotonic()
                     if remaining <= 0:
                         break
@@ -330,7 +323,7 @@ class Broker:
             self._run_batch(batch)
 
     def _run_batch(self, batch: List[Tuple[str, Query]]) -> None:
-        """Run one micro-batch as a single campaign; contain failures."""
+        """Run one micro-batch as a single contained campaign."""
         obs = self.obs
         obs.count("broker.batches")
         obs.count("broker.batched_cells", len(batch))
@@ -344,33 +337,19 @@ class Broker:
         failures: Dict[str, BaseException] = {}
         try:
             with obs.span("broker.dispatch"):
-                results = run_many(
-                    [query.to_runspec() for _, query in batch], jobs=self.jobs
+                outcomes = run_many(
+                    [query.to_runspec() for _, query in batch],
+                    jobs=self.jobs,
+                    failures="contain",
                 )
             with obs.span("broker.serialize"):
-                for (key, query), result in zip(batch, results):
-                    payloads[key] = encode_result(query, result)
-        except BaseException as exc:  # noqa: BLE001 - contained below
-            if not self.guards.serial_fallback:
-                for key, query in batch:
-                    if isinstance(exc, ReproError):
-                        payloads[key] = error_payload(query, exc)
-                    else:
+                for (key, query), outcome in zip(batch, outcomes):
+                    try:
+                        payloads[key] = cell_answer(query, outcome)
+                    except CellError as exc:
                         failures[key] = exc
-            else:
-                # One bad cell must not fail its batch neighbours: rerun
-                # serially with per-cell containment (the guard idiom).
-                obs.count("broker.fallbacks")
-                with obs.span("broker.dispatch"):
-                    for key, query in batch:
-                        try:
-                            payloads[key] = encode_result(
-                                query, query.to_runspec().run()
-                            )
-                        except ReproError as cell_exc:
-                            payloads[key] = error_payload(query, cell_exc)
-                        except BaseException as cell_exc:  # noqa: BLE001
-                            failures[key] = cell_exc
+        except Exception as exc:  # noqa: BLE001 - the dispatcher must survive
+            payloads, failures = {}, {key: exc for key, _ in batch}
         self._complete(payloads, failures)
 
     def _complete(

@@ -33,7 +33,6 @@ entries under ``quarantine/`` so they can never serve again, and the
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from collections import OrderedDict
@@ -42,7 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs.registry import DISABLED, Registry
-from ..store import QUARANTINE_DIR, atomic_write, quarantine
+from ..store import QUARANTINE_DIR, atomic_write, canonical_sha256, quarantine
 
 #: Version of the on-disk entry envelope.
 ENVELOPE_VERSION = 1
@@ -50,8 +49,7 @@ ENVELOPE_VERSION = 1
 
 def payload_checksum(payload: Dict[str, Any]) -> str:
     """sha256 over the canonical JSON encoding of *payload*."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return canonical_sha256(payload)
 
 
 def wrap_entry(key: str, payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -49,7 +49,6 @@ resume path needs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -57,7 +56,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..obs.registry import DISABLED
-from ..store import QUARANTINE_DIR, FileLock, RecordLog, atomic_write, quarantine
+from ..store import (
+    QUARANTINE_DIR, FileLock, RecordLog, atomic_write, canonical_sha256, quarantine,
+)
 
 #: Version of the manifest document and the event record envelope.
 MANIFEST_VERSION = 1
@@ -89,21 +90,11 @@ def campaign_key(fingerprint: str) -> str:
     ``"execution": "exact"`` so ids minted before the kernel had a
     single path stay valid.
     """
-    canon = json.dumps(
-        {"execution": "exact", "fingerprint": fingerprint},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return "c" + hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return "c" + canonical_sha256({"execution": "exact", "fingerprint": fingerprint})[:16]
 
 
 def _event_checksum(seq: int, kind: str, data: Dict[str, Any]) -> str:
-    canon = json.dumps(
-        {"data": data, "kind": kind, "seq": seq},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return canonical_sha256({"data": data, "kind": kind, "seq": seq})
 
 
 class CampaignStore:

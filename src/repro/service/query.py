@@ -11,8 +11,9 @@ content fingerprint (:mod:`repro.service.fingerprint`) is computed over
 exactly what will run:
 
 * named workloads (``"app": "ins"``) are expanded to their task
-  parameters — an inline copy of the same tasks fingerprints
-  identically to the registry name;
+  parameters — an inline copy of the same tasks keys like the registry
+  name for analytic kinds; an energy answer reports the task-set name
+  (``"ins"`` vs ``"inline"``), so there the two key apart;
 * times given in ``ms``/``s`` are normalised to µs (the library's base
   unit, see :mod:`repro.units`);
 * a BCET ratio is applied to the task set;

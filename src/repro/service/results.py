@@ -16,13 +16,25 @@ twice should not cost two refusals.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Union
 
 from ..analysis.rta import analyze
-from ..errors import ReproError, error_kind
+from ..errors import ReproError, ServiceError, error_kind
+from ..experiments.runner import CellFailure, run_many
 from ..sim.metrics import SimulationResult
 from ..sim.recording import digest_result
 from .query import Query
+
+
+class CellError(ServiceError):
+    """A query's cell failed for a reason outside the query (HTTP 500).
+
+    A bug, or a worker process that kept dying past its retries: asking
+    again may well succeed, so the failure reaches only the waiters of
+    that one computation and is never cached.
+    """
+
+    kind = "internal"
 
 
 def encode_result(query: Query, result: SimulationResult) -> Dict[str, Any]:
@@ -53,19 +65,40 @@ def encode_result(query: Query, result: SimulationResult) -> Dict[str, Any]:
     return payload
 
 
-def error_payload(query: Query, exc: BaseException) -> Dict[str, Any]:
+def error_payload(
+    query: Query, error_type: str, message: str, kind: str
+) -> Dict[str, Any]:
     """Encode a deterministic refusal in the golden ``error`` format.
 
-    ``error_kind`` carries the machine-readable taxonomy entry
-    (:data:`repro.errors.ERROR_KINDS`) so clients can branch without
-    parsing the human-facing ``error`` string.
+    ``error`` reads ``TypeName: message``; ``error_kind`` carries the
+    machine-readable taxonomy entry (:data:`repro.errors.ERROR_KINDS`)
+    so clients can branch without parsing the human-facing string.
     """
     return {
         "ok": False,
         "kind": query.kind,
-        "error": f"{type(exc).__name__}: {exc}",
-        "error_kind": error_kind(exc),
+        "error": f"{error_type}: {message}",
+        "error_kind": kind,
     }
+
+
+def cell_answer(
+    query: Query, outcome: Union[SimulationResult, CellFailure]
+) -> Dict[str, Any]:
+    """The answer to energy *query* from its cell's contained outcome.
+
+    A result is encoded.  A cell that raised a
+    :class:`~repro.errors.ReproError` is a property of the query and
+    becomes the cacheable ``ok: false`` payload.  Any other failure
+    raises :class:`CellError`.
+    """
+    if not outcome.failed:
+        return encode_result(query, outcome)
+    if outcome.repro_error:
+        return error_payload(
+            query, outcome.error_type, outcome.message, outcome.error_kind
+        )
+    raise CellError(f"{outcome.error_type}: {outcome.message}")
 
 
 def execute_analytic(query: Query) -> Dict[str, Any]:
@@ -73,7 +106,7 @@ def execute_analytic(query: Query) -> Dict[str, Any]:
     try:
         rta = analyze(query.taskset)
     except ReproError as exc:
-        return error_payload(query, exc)
+        return error_payload(query, type(exc).__name__, str(exc), error_kind(exc))
     if query.kind == "schedulability":
         return {
             "ok": True,
@@ -97,11 +130,11 @@ def execute_query(query: Query) -> Dict[str, Any]:
 
     This is the reference path: the broker's batched answers must be
     bit-identical to it, and the benchmark's *sequential per-request
-    dispatch* baseline is exactly this call in a loop.
+    dispatch* baseline is exactly this call in a loop.  An energy query
+    runs as a one-cell contained campaign, answered by
+    :func:`cell_answer` like a broker batch.
     """
     if query.kind != "energy":
         return execute_analytic(query)
-    try:
-        return encode_result(query, query.to_runspec().run())
-    except ReproError as exc:
-        return error_payload(query, exc)
+    (outcome,) = run_many([query.to_runspec()], failures="contain")
+    return cell_answer(query, outcome)

@@ -76,12 +76,11 @@ class ScheduleService:
         guards: Optional[ServiceGuards] = None,
         jobs: Optional[int] = 0,
         checkpoint_dir: Union[None, str, Path] = None,
-        scrub_on_start: bool = True,
     ):
         #: The stack's one metrics sink, shared by cache, broker and
         #: campaigns and exported whole by ``GET /v1/metrics``.
         self.obs = Registry()
-        if scrub_on_start and cache_dir is not None:
+        if cache_dir is not None:
             # Quarantine anything a crash or bit rot left behind before
             # the first request can ask for it; the scrub counters land
             # on /v1/metrics through the same registry.
@@ -100,22 +99,21 @@ class ScheduleService:
         store: Optional[CampaignStore] = None
         if self.checkpoint_dir is not None:
             store = CampaignStore(self.checkpoint_dir)
-            if scrub_on_start:
-                # Truncating torn event-log suffixes *before* replay is
-                # what keeps post-restart appends gapless: new events
-                # must land directly after the intact prefix.  The cell
-                # journal only gets a report-only pass — its reader is
-                # already corruption-tolerant — so the scrub counters
-                # still reach /v1/metrics.
-                from ..experiments.checkpoint import scrub_journal
+            # Truncating torn event-log suffixes *before* replay is
+            # what keeps post-restart appends gapless: new events
+            # must land directly after the intact prefix.  The cell
+            # journal only gets a report-only pass — its reader is
+            # already corruption-tolerant — so the scrub counters
+            # still reach /v1/metrics.
+            from ..experiments.checkpoint import scrub_journal
 
-                store.scrub(repair=True, obs=self.obs)
-                scrub_journal(self.checkpoint_dir, repair=False, obs=self.obs)
-                # Startup GC keeps a long-lived deployment's campaign
-                # state (and therefore restart replay cost) bounded:
-                # long-finished logs are reclaimed, running siblings'
-                # are lease-protected.
-                store.gc(obs=self.obs)
+            store.scrub(repair=True, obs=self.obs)
+            scrub_journal(self.checkpoint_dir, repair=False, obs=self.obs)
+            # Startup GC keeps a long-lived deployment's campaign
+            # state (and therefore restart replay cost) bounded:
+            # long-finished logs are reclaimed, running siblings'
+            # are lease-protected.
+            store.gc(obs=self.obs)
         #: Live scenario-campaign event logs, served by ``/v1/stream``.
         self.campaigns = CampaignHub(obs=self.obs, store=store)
         self.campaigns.load_persisted()

@@ -186,13 +186,7 @@ class CampaignHub:
             with self._lock:
                 if campaign_id in self._campaigns:
                     continue
-                meta = manifest.get("meta")
-                campaign = _Campaign(
-                    campaign_id,
-                    dict(meta) if isinstance(meta, dict) else {},
-                )
-                for event in self._store.load_events(campaign_id):
-                    campaign.append(event["kind"], event["data"])
+                campaign = self._replay(campaign_id, manifest)
                 if campaign.done and self._finished_ttl_s is not None:
                     # A finished campaign already past the in-memory TTL
                     # would be evicted on the next reap anyway; leave it
@@ -433,6 +427,14 @@ class CampaignHub:
             return dict(hint) if hint is not None else None
 
     # -- internals -----------------------------------------------------------
+    def _replay(self, campaign_id: str, manifest: Dict[str, Any]) -> _Campaign:
+        """Rebuild one campaign from its manifest and its event log."""
+        meta = manifest.get("meta")
+        campaign = _Campaign(campaign_id, dict(meta) if isinstance(meta, dict) else {})
+        for event in self._store.load_events(campaign_id):
+            campaign.append(event["kind"], event["data"])
+        return campaign
+
     def _require(self, campaign_id: str) -> _Campaign:
         campaign = self._campaigns.get(campaign_id)
         if campaign is not None:
@@ -442,13 +444,7 @@ class CampaignHub:
             # the campaign from its manifest + event log transparently.
             manifest = self._store.load_manifest(campaign_id)
             if manifest is not None:
-                meta = manifest.get("meta")
-                campaign = _Campaign(
-                    campaign_id,
-                    dict(meta) if isinstance(meta, dict) else {},
-                )
-                for event in self._store.load_events(campaign_id):
-                    campaign.append(event["kind"], event["data"])
+                campaign = self._replay(campaign_id, manifest)
                 self._campaigns[campaign_id] = campaign
                 self._evicted.pop(campaign_id, None)
                 self._obs.count("stream.campaigns_reloaded")

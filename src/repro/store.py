@@ -5,17 +5,20 @@ journal (:mod:`repro.experiments.checkpoint`) and the campaign store
 (:mod:`repro.service.durability`) are schemas: record encodings,
 checksums and acceptance rules.  This module alone decides how their
 bytes become durable — atomic replacement, fsynced appends with a
-torn-tail guard, ``flock`` sidecars and quarantine.  What counts as an
-intact record, and what to do when the disk refuses a write, stays
-with each schema.
+torn-tail guard, ``flock`` sidecars and quarantine — and supplies the
+one canonical-JSON digest their keys and checksums are taken with.
+What counts as an intact record, and what to do when the disk refuses
+a write, stays with each schema.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
-from typing import IO, Iterable, List, Optional, Sequence, Union
+from typing import IO, Any, Iterable, List, Optional, Sequence, Union
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
     import fcntl
@@ -24,6 +27,17 @@ except ImportError:  # pragma: no cover
 
 #: Subdirectory name under which each artifact parks corrupt files.
 QUARANTINE_DIR = "quarantine"
+
+
+def canonical_sha256(document: Any) -> str:
+    """SHA-256 hex digest of *document*'s canonical JSON.
+
+    Sorted keys and no whitespace, so equal documents hash alike however
+    their dicts were built.  Journal keys, cache checksums, query and
+    scenario fingerprints and campaign ids all hash through these bytes.
+    """
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def atomic_write(path: Union[str, Path], data: bytes) -> None:

@@ -250,6 +250,27 @@ class TestExecutionMetadata:
         for result in results:
             assert result.metadata["executor"] == "serial-fallback-unpicklable"
 
+    def test_pool_that_cannot_be_created_falls_back_to_serial(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.obs.registry import Registry, installed
+
+        def no_processes(*args, **kwargs):
+            raise OSError("process spawning is unavailable")
+
+        specs = _grid_specs()[:4]
+        serial = run_many(specs, jobs=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(runner, "_idle_pool", None)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_processes)
+        registry = Registry()
+        with installed(registry):
+            results = run_many(specs, jobs=2)
+        assert [_fingerprint(r) for r in results] == [_fingerprint(r) for r in serial]
+        for result in results:
+            assert result.metadata["executor"] == "serial-fallback-broken-pool"
+            assert result.metadata["workers"] == 1
+        assert registry.counter_value("runner.executor.serial-fallback-broken-pool") == 1
+
     def test_obs_gauges_campaign_execution(self):
         from repro.obs.registry import installed, Registry
 

@@ -10,6 +10,9 @@ campaign down.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from repro.tasks.generation import GaussianModel
 from repro.workloads.registry import get_workload
 
 pytestmark = pytest.mark.chaos
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -71,8 +76,8 @@ class TestKillOnce:
     def test_raise_mode_broken_pool_never_escapes(self, tmp_path):
         # Regression: a worker death mid-dispatch used to surface as a
         # raw BrokenProcessPool out of run_many.  Now the supervisor
-        # recovers (or degrades to the serial path) and the campaign
-        # still returns every result.
+        # quarantines the cells in flight, and the campaign still
+        # returns every result.
         specs = [_spec(seed=s) for s in (1, 2, 3, 4)]
         reference = [_sig(r) for r in run_many(list(specs), jobs=1)]
         chaotic = list(specs)
@@ -120,8 +125,6 @@ class TestPoisonPill:
         assert registry.counter_value("runner.cell_failures") == 1
 
     def test_raise_mode_exhausts_budget_into_execution_error(self):
-        # The poison cell sits behind two clean cells so the first wave
-        # proves the pool works before the pill lands.
         specs = [
             _spec(seed=1),
             _spec(seed=2),
@@ -161,6 +164,43 @@ class TestPoisonPill:
         assert isinstance(resumed[3], CellFailure)
 
 
+#: A raise-mode campaign whose killer is in the first wave, run in a
+#: child process: a supervisor that reran the killer itself would die.
+_FIRST_WAVE_KILLER = """
+import os
+os.cpu_count = lambda: 4
+
+from repro.errors import ExecutionError
+from repro.experiments.runner import RunSpec, run_many
+from repro.faults.chaos import kill_worker, with_chaos
+from repro.tasks.generation import GaussianModel
+from repro.workloads.registry import get_workload
+
+taskset = get_workload("cnc").prioritized()
+specs = [
+    RunSpec(taskset=taskset, scheduler="lpfps", seed=seed,
+            execution_model=GaussianModel(), duration=9_600.0)
+    for seed in (1, 2, 3, 4)
+]
+specs[0] = with_chaos(specs[0], kill_worker())
+try:
+    run_many(specs, jobs=2)
+except ExecutionError as exc:
+    print(exc)
+"""
+
+
+def test_raise_mode_killer_in_the_first_wave_raises_and_the_caller_survives():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", _FIRST_WAVE_KILLER],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+    assert done.stdout.startswith("campaign cell 0 "), done.stdout
+    assert "killed its worker process 3 time(s)" in done.stdout
+
+
 class TestBlame:
     """Only a cell that breaks a pool on its own is ever charged."""
 
@@ -182,9 +222,7 @@ class TestBlame:
         assert results[1].attempts == 1
 
     def test_raise_mode_names_the_killer_not_a_bystander(self):
-        # A clean first cell proves the pool works (a first pool that
-        # dies before any cell lands falls back to the serial path); the
-        # slow cell is still running when the pill kills its worker.
+        # The slow cell is still running when the pill kills its worker.
         specs = [
             _spec(seed=1),
             with_chaos(_spec(seed=2), slow_cell(0.2)),

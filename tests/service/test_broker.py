@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import RunSpec
 from repro.obs.registry import Registry
 from repro.service.broker import (
     AdmissionError,
@@ -14,8 +22,10 @@ from repro.service.broker import (
     ServiceGuards,
 )
 from repro.service.cache import ResultCache
-from repro.service.query import parse_query
-from repro.service.results import execute_query
+from repro.service.query import Query, parse_query
+from repro.service.results import CellError, execute_query
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _energy(app: str = "example", duration: float = 400.0, **overrides):
@@ -121,8 +131,6 @@ class TestAdmission:
             ServiceGuards(request_timeout_s=0)
         with pytest.raises(ConfigurationError):
             ServiceGuards(batch_window_s=-1e-9)
-        with pytest.raises(ConfigurationError):
-            ServiceGuards(max_batch=0)
 
 
 class TestBatching:
@@ -169,3 +177,116 @@ class TestClose:
         broker = Broker(cache=ResultCache(), jobs=1)
         broker.close()
         broker.close()
+
+
+class _Raising(Query):
+    """An energy query whose cell raises a non-library exception."""
+
+    def to_runspec(self):
+        def broken():
+            raise RuntimeError("scheduler factory bug")
+
+        return replace(super().to_runspec(), scheduler=broken)
+
+
+#: One ``Broker(jobs=2)`` batch: a cell that SIGKILLs every worker that
+#: runs it, and three good queries.  Run in a child process, so a
+#: supervisor that reruns the killer itself dies alone.
+_POISON_BATCH = """
+import os
+os.cpu_count = lambda: 4  # keep the pool path on a one-core runner
+
+from repro.faults.chaos import kill_worker, with_chaos
+from repro.service.broker import Broker, ServiceGuards
+from repro.service.cache import ResultCache
+from repro.service.query import Query, parse_query
+from repro.service.results import CellError, execute_query
+
+
+class Poison(Query):
+    def to_runspec(self):
+        return with_chaos(super().to_runspec(), kill_worker())
+
+
+def energy(seed):
+    return parse_query(
+        {"kind": "energy", "app": "cnc", "duration": 9600, "seed": seed}
+    )
+
+
+good = [energy(seed) for seed in (1, 2, 3)]
+poison = Poison(**vars(energy(9)))
+guards = ServiceGuards(batch_window_s=0.5)
+with Broker(cache=ResultCache(), guards=guards, jobs=2) as broker:
+    killer = broker.submit(poison)
+    submissions = [broker.submit(q) for q in good]
+    answers = [s.future.result(timeout=120) for s in submissions]
+    assert answers == [execute_query(q) for q in good]
+    try:
+        killer.future.result(timeout=120)
+    except CellError as exc:
+        assert "BrokenProcessPool" in str(exc), exc
+    else:
+        raise AssertionError("the killer's waiter got an answer")
+    assert broker.cache.get(killer.fingerprint) is None
+    assert broker.obs.counter_value("broker.batches") == 1
+print("survived")
+"""
+
+
+class TestContainment:
+    """A miss is a campaign cell: each runs once, and fails alone."""
+
+    def test_refusal_in_a_batch_runs_each_cell_once(self, monkeypatch):
+        runs = Counter()
+        run = RunSpec.run
+
+        def counted(spec):
+            runs[spec.scheduler, spec.seed] += 1
+            return run(spec)
+
+        monkeypatch.setattr(RunSpec, "run", counted)
+        good = [_energy(app="cnc", duration=9_600.0, seed=s) for s in (1, 2, 3, 4)]
+        refusal = _energy(app="avionics", duration=None, scheduler="yds")
+        expected = execute_query(refusal)
+        runs.clear()
+        guards = ServiceGuards(batch_window_s=0.5)
+        with Broker(cache=ResultCache(), guards=guards, jobs=1) as broker:
+            submissions = [broker.submit(q) for q in (*good[:2], refusal, *good[2:])]
+            answers = [s.future.result(timeout=60) for s in submissions]
+            assert broker.obs.counter_value("broker.batches") == 1
+            assert broker.obs.counter_value("runner.campaigns") == 1
+            assert broker.obs.counter_value("runner.cells") == 5
+            assert broker.submit(refusal).path == "hit"
+            assert broker.cache.get(submissions[2].fingerprint) == expected
+        assert answers[2] == expected
+        assert expected["error"].startswith("AnalysisError: YDS guard")
+        assert answers[:2] + answers[3:] == [execute_query(q) for q in good]
+        assert runs == Counter(
+            {("lpfps", s): 2 for s in (1, 2, 3, 4)} | {("yds", 1): 1}
+        ), "each cell once in the batch, once more for the reference"
+
+    def test_non_library_failure_fails_only_its_waiter_uncached(self):
+        good = [_energy(seed=s) for s in (1, 2)]
+        bad = _Raising(**vars(_energy(seed=3)))
+        guards = ServiceGuards(batch_window_s=0.5)
+        with Broker(cache=ResultCache(), guards=guards, jobs=1) as broker:
+            failing = broker.submit(bad)
+            submissions = [broker.submit(q) for q in good]
+            answers = [s.future.result(timeout=60) for s in submissions]
+            with pytest.raises(CellError, match="RuntimeError: scheduler factory bug"):
+                failing.future.result(timeout=60)
+            assert broker.obs.counter_value("broker.batches") == 1
+            assert broker.cache.get(failing.fingerprint) is None
+            assert broker.submit(bad).path == "miss", "a failure is never cached"
+        assert answers == [execute_query(q) for q in good]
+
+    @pytest.mark.chaos
+    def test_worker_killing_cell_fails_alone_and_the_server_survives(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", _POISON_BATCH],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+        assert done.stdout.split() == ["survived"]

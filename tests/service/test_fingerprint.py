@@ -2,9 +2,10 @@
 
 The cache key must identify *what will run* and nothing else: hypothesis
 drives task-set generation so that every representation freedom a client
-has — task order, µs vs ms vs s, int vs float spellings, registry name
-vs inline parameters — maps to one fingerprint, while every change that
-could alter the answer maps to a different one.
+has — task order, µs vs ms vs s, int vs float spellings — maps to one
+fingerprint, while every change that could alter the answer maps to a
+different one.  An energy query's key is its cell's journal key, which
+holds the task-set name its answer reports; analytic keys do not.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.checkpoint import spec_fingerprint
 from repro.service.fingerprint import canonical_payload, fingerprint
 from repro.service.query import build_query, parse_query
 from repro.workloads.registry import get_workload
@@ -125,11 +127,10 @@ def test_fingerprint_changes_with_parameters(tasks):
     )
 
 
-def test_registry_name_and_inline_tasks_fingerprint_identically():
-    """Content addressing: an inline copy of INS equals ``app: ins``."""
-    named = parse_query(
-        {"kind": "energy", "app": "ins", "duration": 50_000, "bcet_ratio": 0.5}
-    )
+def test_registry_name_and_inline_tasks_key_alike_only_for_analytic_kinds():
+    """An inline copy of INS is answered as task set ``inline``, not
+    ``ins``: the energy keys (journal keys) differ; the analytic keys,
+    whose answers never name the task set, match."""
     inline_tasks = [
         {
             "name": t.name,
@@ -140,15 +141,21 @@ def test_registry_name_and_inline_tasks_fingerprint_identically():
         }
         for t in get_workload("ins").taskset
     ]
-    inline = parse_query(
-        {
-            "kind": "energy",
-            "tasks": inline_tasks,
-            "duration": 50_000,
-            "bcet_ratio": 0.5,
-        }
-    )
-    assert fingerprint(named) == fingerprint(inline)
+
+    def pair(kind):
+        request = {"kind": kind, "duration": 50_000, "bcet_ratio": 0.5}
+        return (
+            parse_query({**request, "app": "ins"}),
+            parse_query({**request, "tasks": inline_tasks}),
+        )
+
+    named, inline = pair("energy")
+    for query in (named, inline):
+        assert fingerprint(query) == spec_fingerprint(query.to_runspec())
+    assert fingerprint(named) != fingerprint(inline)
+    for kind in ("schedulability", "rta"):
+        named, inline = pair(kind)
+        assert fingerprint(named) == fingerprint(inline)
 
 
 def test_analytic_kinds_canonicalise_simulation_knobs_away():

@@ -126,6 +126,28 @@ class TestQuery:
         assert "retry" in payload["error"]
         assert payload["error_kind"] == "timeout"
 
+    def test_a_cell_that_fails_outside_the_library_is_500_uncached(
+        self, client, monkeypatch
+    ):
+        from repro.experiments.runner import RunSpec
+
+        run = RunSpec.run
+
+        def run_unless_seed_91(spec):
+            if spec.seed == 91:
+                raise RuntimeError("kernel bug")
+            return run(spec)
+
+        monkeypatch.setattr(RunSpec, "run", run_unless_seed_91)
+        for _ in range(2):  # never cached: the retry runs the cell again
+            status, payload = client.query({**ENERGY, "seed": 91})
+            assert status == 500
+            assert payload["error"] == "RuntimeError: kernel bug"
+            assert payload["error_kind"] == "internal"
+        monkeypatch.undo()
+        status, payload = client.query({**ENERGY, "seed": 91})
+        assert status == 200 and payload["ok"] is True
+
     def test_bad_timeout_is_400(self, client):
         status, _ = client.query({**ENERGY, "timeout_s": -1})
         assert status == 400
